@@ -10,28 +10,24 @@ import (
 	"nvwa/internal/seq"
 )
 
-// Batched dispatch (Options.Batched) executes each allocation round's
-// assignments as one pooled hit vector instead of one scheduled event
-// per hit, the way the HLS exemplars batch JOBS_PER_BATCH alignments
-// per kernel invocation. The per-hit path stays in run.go verbatim as
-// the retained reference dispatcher; the two are pinned byte-identical
-// by the differential suite in batch_test.go. Identity holds by
-// construction, not by luck:
+// EU dispatch runs each allocation round's assignments as one pooled
+// hit vector — the Hits Allocator hands a whole window to the idle EUs
+// in one round (Fig. 10) — the way the HLS exemplars batch
+// JOBS_PER_BATCH alignments per kernel invocation:
 //
-//   - Seq reservation. Per-hit dispatch consumes N consecutive engine
-//     sequence numbers pushing N completion events. The batched round
-//     reserves the same N up front (sim.ReserveSeqs) and keeps a
-//     single chained task resident in the heap, re-pushing itself at
-//     each completion's exact (cycle, seq) via AtTaskSeq — so the
-//     global event order is the per-hit order, event for event.
-//   - Same side-effect order. The vector loop executes assignments in
-//     assignment order, touching the memo, observer, and fault
-//     injector exactly where the per-hit loop would.
+//   - Seq reservation. The round reserves one engine sequence number
+//     per assignment up front (sim.ReserveSeqs) and keeps a single
+//     chained task resident in the queue, re-pushing itself at each
+//     completion's exact (cycle, seq) via AtTaskSeq — so completions
+//     interleave with every other event exactly as N individually
+//     scheduled completion events would, and the schedule stays a
+//     pure function of the assignment order, which checkpoint replay
+//     relies on.
 //   - O(1) trigger consults. The per-completion Allocate Trigger
 //     consult reads the maintained idle-EU counter instead of
-//     re-scanning the whole pool — the scan is the dominant per-
-//     completion cost at 70 EUs, and it runs once per completion plus
-//     once per fired round.
+//     re-scanning the whole pool — the scan would be the dominant
+//     per-completion cost at 70 EUs, and it runs once per completion
+//     plus once per fired round.
 type batchEntry struct {
 	u    *eu.Unit
 	done int64
@@ -56,12 +52,11 @@ type batchTask struct {
 func (t *batchTask) TaskKind() string { return "batch" }
 
 // Fire implements sim.Task. Consecutive entries that complete at the
-// same cycle are fired inline without a heap round-trip: the reserved
+// same cycle are fired inline without a queue round-trip: the reserved
 // sequence numbers between two same-cycle neighbours all belong to
 // already-fired entries of this chain (reservation blocks are
 // disjoint, and events scheduled during processing draw fresh, higher
-// seqs), so no other event can be ordered between them — the global
-// side-effect order is still exactly the per-hit order.
+// seqs), so no other event can be ordered between them.
 func (t *batchTask) Fire() {
 	s := t.s
 	for {
@@ -103,9 +98,8 @@ func (s *System) getBatchTask() *batchTask {
 }
 
 // dispatchBatch starts one round's extension tasks as a single pooled
-// vector. It mirrors dispatch() per assignment — same execute, memo,
-// observer, and fault-stall order — then sorts the completion vector
-// into (done, seq) order and arms the chained task at the first slot.
+// vector, in assignment order, then sorts the completion vector into
+// (done, seq) order and arms the chained task at the first slot.
 func (s *System) dispatchBatch(assigned []coordinator.Assignment) {
 	now := s.eng.Now()
 	t := s.getBatchTask()
@@ -119,12 +113,16 @@ func (s *System) dispatchBatch(assigned []coordinator.Assignment) {
 		}
 		var oriented seq.Seq
 		if s.memo != nil {
+			// Replay mode: reuse the cached oriented view instead of
+			// reallocating a reverse complement per dispatch.
 			oriented = s.memo.Oriented(a.Hit.ReadIdx, a.Hit.Rev)
 		} else {
 			oriented = pipeline.Orient(s.reads[a.Hit.ReadIdx], a.Hit.Rev)
 		}
 		ext, done := u.Execute(now, oriented, a.Hit)
 		if s.flt != nil {
+			// Transient EU stall: the unit holds its result for the
+			// injected extra cycles.
 			if d := s.flt.inj.TakeEUStall(u.ID()); d > 0 {
 				done += d
 			}
@@ -137,8 +135,8 @@ func (s *System) dispatchBatch(assigned []coordinator.Assignment) {
 	s.eng.AtTaskSeq(entries[0].done, entries[0].seq, t)
 }
 
-// sortBatch orders a completion vector by (done, seq) — the engine
-// heap's total order. Insertion sort: vectors are at most AllocBatch
+// sortBatch orders a completion vector by (done, seq) — the engine's
+// total order. Insertion sort: vectors are at most AllocBatch
 // entries, nearly sorted already (seqs ascend in assignment order),
 // and the hot path must not allocate (sort.Sort would box the slice).
 func sortBatch(e []batchEntry) {
@@ -151,9 +149,7 @@ func sortBatch(e []batchEntry) {
 }
 
 // euSetBusy, euSetIdle, and euStopIdle wrap the EU state transitions
-// so the idle-pool counter and bitmask behind the batched dispatch
-// path stay exact. Both are maintained in both dispatch modes (the
-// transitions are identical); only the batched path reads them.
+// so the idle-pool counter and bitmask stay exact.
 func (s *System) euSetBusy(u *eu.Unit, now int64) {
 	s.idleEUCount--
 	id := u.ID()
@@ -176,12 +172,14 @@ func (s *System) euStopIdle(u *eu.Unit) {
 	u.Stop()
 }
 
-// idleEUsMask rebuilds the idle-unit list from the maintained bitmask
-// instead of scanning every unit's state — the batched path's round
-// setup. The list is identical to idleEUs(): bits iterate in ID order
-// and the per-ID descriptors are fixed at construction. Like idleEUs,
-// the returned slice aliases the per-system scratch buffer.
-func (s *System) idleEUsMask() []coordinator.IdleUnit {
+// idleEUs lists the currently idle extension units, rebuilt from the
+// maintained bitmask instead of scanning every unit's state: bits
+// iterate in ID order and the per-ID descriptors are fixed at
+// construction. The returned slice aliases a per-system scratch
+// buffer, valid until the next idleEUs call; every caller consumes it
+// synchronously (the allocator copies the pool into its own round
+// scratch).
+func (s *System) idleEUs() []coordinator.IdleUnit {
 	idle := s.idleBuf[:0]
 	for w, word := range s.idleMask {
 		base := w << 6

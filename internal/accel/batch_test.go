@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"nvwa/internal/coordinator"
+	"nvwa/internal/core"
 	"nvwa/internal/fault"
 	"nvwa/internal/genome"
+	"nvwa/internal/obs"
 	"nvwa/internal/pipeline"
 	"nvwa/internal/seq"
 )
@@ -27,79 +29,27 @@ var allStrategies = []coordinator.Strategy{
 	coordinator.Grouped, coordinator.Exclusive, coordinator.Shared, coordinator.FIFO,
 }
 
-// The tentpole contract: batched dispatch is byte-identical to per-hit
-// dispatch. Swept across all four allocator strategies × {fault-free,
-// seeded fault plan}; the sharded S=4 axis lives in
-// TestBatchedShardedByteIdentical below.
-func TestBatchedDispatchByteIdentical(t *testing.T) {
-	t.Parallel()
-	a, reads := testWorkload(t, 150, 21)
-	plan := fault.Spec{
-		Seed: 5, Horizon: 20000,
-		SUStalls: 3, SUFails: 1, EUStalls: 4, EUFails: 2,
-	}.Generate(16, 10)
-	for _, strat := range allStrategies {
-		for _, faulted := range []bool{false, true} {
-			name := fmt.Sprintf("%s/faults=%v", strat, faulted)
-			run := func(batched bool) *Report {
-				o := smallOpts()
-				o.AllocStrategy = strat
-				o.Batched = batched
-				if faulted {
-					o.Faults = plan
-				}
-				sys, err := New(a, o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return sys.Run(reads)
-			}
-			perHit := reportBytes(t, run(false))
-			batched := reportBytes(t, run(true))
-			if string(perHit) != string(batched) {
-				t.Errorf("%s: batched report diverges from per-hit", name)
-			}
+// scanIdleEUs lists the idle extension units by scanning every unit's
+// state — the O(EUs) oracle for the maintained idle counter and mask.
+func scanIdleEUs(s *System) []coordinator.IdleUnit {
+	var idle []coordinator.IdleUnit
+	for _, u := range s.eus {
+		if u.State() == core.Idle {
+			idle = append(idle, coordinator.IdleUnit{ID: u.ID(), Class: u.Class(), PEs: u.PEs()})
 		}
 	}
+	return idle
 }
 
-// Batched dispatch composes with the scale-out engine: per-shard
-// systems run batched, and the merged S=4 balanced report matches the
-// per-hit merge byte for byte.
-func TestBatchedShardedByteIdentical(t *testing.T) {
-	t.Parallel()
-	a, reads := testWorkload(t, 200, 23)
-	run := func(batched bool) *Report {
-		o := smallOpts()
-		o.Batched = batched
-		sys, err := NewSharded(a, ShardedOptions{
-			Options: o, Shards: 4, Policy: ShardBalanced,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, _, err := sys.RunDetailed(reads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	perHit := reportBytes(t, run(false))
-	batched := reportBytes(t, run(true))
-	if string(perHit) != string(batched) {
-		t.Error("S=4 balanced batched merge diverges from per-hit")
-	}
-}
-
-// The idle-pool counter that powers the batched trigger consult must
-// agree with a full pool scan at every consult — checked here by
-// running a faulted batched system with the counter cross-validated
-// against idleEUs() inside the trigger path via the test hook below.
+// The idle-pool counter behind the trigger consult and the bitmask
+// behind round idle lists must agree with a full pool scan at every
+// consult — checked here by running a faulted system with both
+// cross-validated against scanIdleEUs inside the trigger path via the
+// test hook below.
 func TestIdleCounterMatchesScan(t *testing.T) {
 	t.Parallel()
 	a, reads := testWorkload(t, 120, 29)
 	o := smallOpts()
-	o.Batched = true
 	o.Faults = fault.Spec{
 		Seed: 11, Horizon: 20000, EUStalls: 3, EUFails: 2, SUFails: 1,
 	}.Generate(16, 10)
@@ -108,12 +58,12 @@ func TestIdleCounterMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.checkIdleCount = func() {
-		scan := append([]coordinator.IdleUnit(nil), sys.idleEUs()...)
+		scan := scanIdleEUs(sys)
 		if got, want := sys.idleEUCount, len(scan); got != want {
 			t.Fatalf("idle counter %d != scanned idle pool %d at cycle %d",
 				got, want, sys.eng.Now())
 		}
-		mask := sys.idleEUsMask()
+		mask := sys.idleEUs()
 		if len(mask) != len(scan) {
 			t.Fatalf("mask pool %d units != scanned pool %d at cycle %d",
 				len(mask), len(scan), sys.eng.Now())
@@ -147,12 +97,11 @@ func TestSortBatchOrdersByDoneThenSeq(t *testing.T) {
 	}
 }
 
-// Steady-state batched dispatch must stay allocation-free like the
-// pooled per-hit tasks it replaces.
+// Steady-state batched dispatch must stay allocation-free: round
+// tasks and completion vectors recycle through the freelists.
 func TestBatchedDispatchSteadyStateZeroAlloc(t *testing.T) {
 	a, reads := testWorkload(t, 60, 31)
 	o := smallOpts()
-	o.Batched = true
 	o.Memo = BuildMemo(a, nil, reads, 0)
 	// Warm run sizes every freelist and scratch buffer.
 	sys, err := New(a, o)
@@ -172,53 +121,62 @@ func TestBatchedDispatchSteadyStateZeroAlloc(t *testing.T) {
 	})
 	_ = exts
 	// A full Run allocates for results/report assembly; the bar here
-	// is that the batched dispatch machinery adds nothing beyond the
-	// per-hit path's own budget (measured loosely: report assembly is
-	// O(units+reads), far below per-hit dispatch would cost if it
-	// allocated per completion).
-	perHitBudget := float64(len(reads) + 600)
-	if allocs > perHitBudget {
-		t.Fatalf("batched Run allocated %.0f times, budget %.0f", allocs, perHitBudget)
+	// is that the dispatch machinery adds nothing per completion
+	// (measured loosely: report assembly is O(units+reads), far below
+	// what dispatch would cost if it allocated per completion).
+	budget := float64(len(reads) + 600)
+	if allocs > budget {
+		t.Fatalf("Run allocated %.0f times, budget %.0f", allocs, budget)
 	}
 }
 
-// FuzzBatchSplit drives batched-vs-per-hit byte identity across
-// arbitrary batch split points: the allocator window (AllocBatch) is
-// what slices the hit stream into dispatch vectors, so fuzzing it
-// (with the strategy and trigger threshold) explores round shapes —
-// single-hit vectors, full windows, degenerate pools — that the fixed
-// differential sweep cannot.
+// FuzzBatchSplit explores dispatch round shapes across arbitrary
+// batch split points: the allocator window (AllocBatch) is what slices
+// the hit stream into dispatch vectors, so fuzzing it (with the
+// strategy and trigger threshold) reaches single-hit vectors, full
+// windows, and degenerate pools that fixed tests cannot. Every shape
+// must extend every hit to the software pipeline's per-read outcome,
+// hold every scheduler invariant, and be deterministic.
 func FuzzBatchSplit(f *testing.F) {
 	f.Add(uint8(16), uint8(0), uint8(15))
 	f.Add(uint8(1), uint8(1), uint8(0))
 	f.Add(uint8(3), uint8(2), uint8(100))
 	f.Add(uint8(64), uint8(3), uint8(50))
 	a, reads := fuzzWorkload()
+	want := make([]pipeline.Result, len(reads))
+	for i, r := range reads {
+		want[i] = a.Align(i, r)
+	}
 	f.Fuzz(func(t *testing.T, allocBatch, strat, trigPct uint8) {
 		o := smallOpts()
 		o.Config.AllocBatch = int(allocBatch)%64 + 1
 		o.AllocStrategy = allStrategies[int(strat)%len(allStrategies)]
 		o.Config.IdleEUTrigger = float64(trigPct%101) / 100
-		run := func(batched bool) *Report {
+		name := fmt.Sprintf("allocBatch=%d strat=%s trig=%.2f",
+			o.Config.AllocBatch, o.AllocStrategy, o.Config.IdleEUTrigger)
+		run := func(ob *obs.Observer) *Report {
 			oo := o
-			oo.Batched = batched
+			oo.Obs = ob
 			sys, err := New(a, oo)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return sys.Run(reads)
 		}
-		b1, err := json.Marshal(run(false))
-		if err != nil {
-			t.Fatal(err)
+		rep := run(nil)
+		for i, w := range want {
+			g := rep.Results[i]
+			if g.Found != w.Found || g.Score != w.Score || g.Hits != w.Hits || g.RefBeg != w.RefBeg {
+				t.Fatalf("%s: read %d = %+v, software pipeline %+v", name, i, g, w)
+			}
 		}
-		b2, err := json.Marshal(run(true))
-		if err != nil {
-			t.Fatal(err)
+		inv := obs.NewInvariantsOnly()
+		run(inv)
+		if err := inv.Inv.Err(); err != nil {
+			t.Fatalf("%s: invariant violations: %v", name, err)
 		}
-		if string(b1) != string(b2) {
-			t.Fatalf("allocBatch=%d strat=%s trig=%.2f: batched diverges from per-hit",
-				o.Config.AllocBatch, o.AllocStrategy, o.Config.IdleEUTrigger)
+		if string(reportBytes(t, rep)) != string(reportBytes(t, run(nil))) {
+			t.Fatalf("%s: two runs of one configuration diverge", name)
 		}
 	})
 }

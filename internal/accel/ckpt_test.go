@@ -3,6 +3,8 @@ package accel
 import (
 	"encoding/json"
 	"fmt"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"nvwa/internal/ckpt"
@@ -58,9 +60,10 @@ func finishFrom(t *testing.T, sys *System) *Report {
 // The tentpole contract: restoring a checkpoint taken at any Step
 // boundary and running to completion is byte-identical to the
 // uninterrupted run. Swept across all four allocator strategies ×
-// {fault-free, seeded fault plan} × {reference, batched+batchedSU}
-// event-loop paths; the sharded axis lives in the shard recovery
-// tests.
+// {fault-free, seeded fault plan}; the sharded axis lives in the shard
+// recovery tests. The batched=true suffix names the event loop every
+// System runs: batched EU dispatch rounds and batched SU seed rounds,
+// whose pending round chains each checkpoint must carry.
 func TestResumeByteIdentical(t *testing.T) {
 	t.Parallel()
 	a, reads := testWorkload(t, 120, 33)
@@ -70,70 +73,66 @@ func TestResumeByteIdentical(t *testing.T) {
 	}.Generate(16, 10)
 	for _, strat := range allStrategies {
 		for _, faulted := range []bool{false, true} {
-			for _, batched := range []bool{false, true} {
-				strat, faulted, batched := strat, faulted, batched
-				name := fmt.Sprintf("%s/faults=%v/batched=%v", strat, faulted, batched)
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					mkOpts := func() Options {
-						o := smallOpts()
-						o.AllocStrategy = strat
-						o.Batched = batched
-						o.BatchedSU = batched
-						if faulted {
-							o.Faults = plan
-						}
-						return o
+			strat, faulted := strat, faulted
+			name := fmt.Sprintf("%s/faults=%v/batched=true", strat, faulted)
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				mkOpts := func() Options {
+					o := smallOpts()
+					o.AllocStrategy = strat
+					if faulted {
+						o.Faults = plan
 					}
-					base, err := New(a, mkOpts())
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := reportBytes(t, base.Run(reads))
+					return o
+				}
+				base, err := New(a, mkOpts())
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := reportBytes(t, base.Run(reads))
 
-					// Stepped run, snapshotting at every slice boundary.
-					sys, err := New(a, mkOpts())
+				// Stepped run, snapshotting at every slice boundary.
+				sys, err := New(a, mkOpts())
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys.Feed(reads)
+				var cks []*ckpt.Checkpoint
+				for {
+					done, err := sys.Step(2500)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("Step: %v", err)
 					}
-					sys.Feed(reads)
-					var cks []*ckpt.Checkpoint
-					for {
-						done, err := sys.Step(2500)
-						if err != nil {
-							t.Fatalf("Step: %v", err)
-						}
-						ck, err := sys.Snapshot()
-						if err != nil {
-							t.Fatalf("Snapshot: %v", err)
-						}
-						cks = append(cks, ck)
-						if done {
-							break
-						}
-					}
-					rep, err := sys.DrainChecked()
+					ck, err := sys.Snapshot()
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("Snapshot: %v", err)
 					}
-					if got := reportBytes(t, rep); string(got) != string(want) {
-						t.Fatal("stepped run diverges from uninterrupted run")
+					cks = append(cks, ck)
+					if done {
+						break
 					}
+				}
+				rep, err := sys.DrainChecked()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := reportBytes(t, rep); string(got) != string(want) {
+					t.Fatal("stepped run diverges from uninterrupted run")
+				}
 
-					// Resume from the first, a middle, and the last
-					// checkpoint; each must finish byte-identically.
-					probe := []int{0, len(cks) / 2, len(cks) - 1}
-					for _, i := range probe {
-						r, err := Restore(a, mkOpts(), reads, cks[i])
-						if err != nil {
-							t.Fatalf("Restore(ck %d @cycle %d): %v", i, cks[i].Cycle, err)
-						}
-						if got := reportBytes(t, finishFrom(t, r)); string(got) != string(want) {
-							t.Errorf("resume from checkpoint %d (cycle %d) diverges", i, cks[i].Cycle)
-						}
+				// Resume from the first, a middle, and the last
+				// checkpoint; each must finish byte-identically.
+				probe := []int{0, len(cks) / 2, len(cks) - 1}
+				for _, i := range probe {
+					r, err := Restore(a, mkOpts(), reads, cks[i])
+					if err != nil {
+						t.Fatalf("Restore(ck %d @cycle %d): %v", i, cks[i].Cycle, err)
 					}
-				})
-			}
+					if got := reportBytes(t, finishFrom(t, r)); string(got) != string(want) {
+						t.Errorf("resume from checkpoint %d (cycle %d) diverges", i, cks[i].Cycle)
+					}
+				}
+			})
 		}
 	}
 }
@@ -291,6 +290,40 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	}
 	if _, err := ckpt.Decode(append(ck.Encode(), 0xFF)); err == nil {
 		t.Error("corrupted wire bytes accepted")
+	}
+}
+
+// A version-1 checkpoint comes from the build whose event loop still
+// had per-hit and per-read paths and whose options hash had two more
+// fields, so its hash never matches this build's. Both the file reader
+// and Restore must name the version as the reason, not report a
+// misleading configuration mismatch.
+func TestRestoreRejectsVersion1(t *testing.T) {
+	t.Parallel()
+	a, reads := testWorkload(t, 20, 11)
+	sys, err := New(a, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Feed(reads)
+	if _, err := sys.Step(2000); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Version = 1
+	ck.OptionsHash ^= 1
+	path := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := ck.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ckpt.ReadFile(path); err == nil || !strings.Contains(err.Error(), "version 1 not supported") {
+		t.Errorf("reading a version-1 file: err = %v, want version not supported", err)
+	}
+	if _, err := Restore(a, smallOpts(), reads, ck); err == nil || !strings.Contains(err.Error(), "version 1 not supported") {
+		t.Errorf("restoring a version-1 checkpoint: err = %v, want version not supported", err)
 	}
 }
 

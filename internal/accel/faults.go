@@ -170,16 +170,6 @@ func (s *System) anyHealthySU() bool {
 	return false
 }
 
-// readReadyAt is the prefetcher ready cycle plus any open
-// memory-timeout window penalty.
-func (s *System) readReadyAt(now int64, idx int) int64 {
-	ready := s.prefet.ReadyAt(now+1, idx)
-	if s.flt != nil {
-		ready += s.flt.inj.MemDelay(ready)
-	}
-	return ready
-}
-
 // suFailedMidTask handles an SU that failed while seeding: the unit
 // parks permanently, its in-progress results are discarded (a failed
 // unit's output buffer is not trusted), and the read is requeued for

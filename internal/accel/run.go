@@ -61,14 +61,7 @@ func (s *System) Feed(reads []seq.Seq) {
 		s.started = true
 		switch s.opts.SeedStrategy {
 		case OneCycle:
-			if s.opts.BatchedSU {
-				s.eng.At(0, s.startAllOneCycle)
-			} else {
-				for _, u := range s.sus {
-					uu := u
-					s.eng.At(0, func() { s.startOneCycle(uu) })
-				}
-			}
+			s.eng.At(0, s.startAllOneCycle)
 		case ReadInBatch:
 			s.eng.At(0, s.issueBatch)
 		}
@@ -172,12 +165,10 @@ func (s *System) DrainChecked() (*Report, error) {
 	for _, u := range s.eus {
 		u.SetIdle(end)
 	}
-	if s.arena != nil {
-		// Recycle the final PB generation (and, after an abort, any
-		// stranded IDs) so the arena audits as fully drained — every
-		// interned hit was dispatched, dropped, or released here.
-		s.buffer.ReleaseAll()
-	}
+	// Recycle the final PB generation (and, after an abort, any
+	// stranded IDs) so the arena audits as fully drained — every
+	// interned hit was dispatched, dropped, or released here.
+	s.buffer.ReleaseAll()
 	return s.report(end), s.wdErr
 }
 
@@ -218,18 +209,16 @@ func (s *System) fireAbort() {
 	}
 }
 
-// suTask is the pooled event payload for one SU's read: it fires once
-// at the prefetcher's ready cycle to start seeding, reschedules itself
-// for the completion cycle, and then recycles itself before handing
-// the hits to suDone. Pooling these (and the euDone tasks below)
-// removes the two closure allocations the event loop previously paid
-// per read and per extension.
+// suTask is the pooled event payload for one SU's seeding completion:
+// scheduled by fireSeed at the unit's done cycle, it recycles itself
+// before handing the hits to suDone. Pooling these (and the euDone
+// tasks below) removes the closure allocation the event loop would
+// otherwise pay per read and per extension.
 type suTask struct {
-	s       *System
-	u       *su.Unit
-	idx     int
-	hits    []core.Hit
-	started bool
+	s    *System
+	u    *su.Unit
+	idx  int
+	hits []core.Hit
 }
 
 // TaskKind implements sim.TaskKind for diagnostics.
@@ -237,23 +226,8 @@ func (t *suTask) TaskKind() string { return "su" }
 
 // Fire implements sim.Task.
 func (t *suTask) Fire() {
-	s := t.s
-	if !t.started {
-		hits, done := t.u.Process(s.eng.Now(), t.idx, s.reads[t.idx])
-		if s.flt != nil {
-			// Transient SU stall: the unit holds its result for the
-			// injected extra cycles.
-			if d := s.flt.inj.TakeSUStall(t.u.ID()); d > 0 {
-				done += d
-			}
-		}
-		t.hits = hits
-		t.started = true
-		s.eng.AtTask(done, t)
-		return
-	}
-	u, idx, hits := t.u, t.idx, t.hits
-	t.u, t.hits, t.started = nil, nil, false
+	s, u, idx, hits := t.s, t.u, t.idx, t.hits
+	t.u, t.hits = nil, nil
 	s.suFree = append(s.suFree, t)
 	if s.flt != nil && s.flt.inj.SUFailed(u.ID()) {
 		// The unit failed while seeding: discard its output and
@@ -265,48 +239,31 @@ func (t *suTask) Fire() {
 }
 
 // getSUTask takes a task from the freelist or allocates one.
-func (s *System) getSUTask(u *su.Unit, idx int) *suTask {
+func (s *System) getSUTask(u *su.Unit, idx int, hits []core.Hit) *suTask {
 	if n := len(s.suFree); n > 0 {
 		t := s.suFree[n-1]
 		s.suFree = s.suFree[:n-1]
-		t.u, t.idx = u, idx
+		t.u, t.idx, t.hits = u, idx, hits
 		return t
 	}
-	return &suTask{s: s, u: u, idx: idx}
+	return &suTask{s: s, u: u, idx: idx, hits: hits}
 }
 
 // startOneCycle allocates the next read to an idle SU one cycle after
 // it frees (the One-Cycle Read Allocator's behaviour: every idle unit
-// is refilled in a single cycle). Under faults, failed units park and
-// requeued reads are served first (see takeRead).
+// is refilled in a single cycle), as a singleton seed round. Under
+// faults, failed units park and requeued reads are served first (see
+// takeRead).
 func (s *System) startOneCycle(u *su.Unit) {
-	if s.opts.BatchedSU {
-		// Steady-state refill as a singleton round: ReserveSeqs(1) +
-		// AtTaskSeq is numerically identical to the plain AtTask below.
-		t := s.getSeedRound()
-		s.collectSeed(t, u)
-		s.armSeedRound(t)
-		return
-	}
-	now := s.eng.Now()
-	if s.flt != nil && s.flt.inj.SUFailed(u.ID()) {
-		u.Stop()
-		return
-	}
-	idx, ok := s.takeRead()
-	if !ok {
-		u.Stop()
-		return
-	}
-	ready := s.readReadyAt(now, idx)
-	u.SetBusy(now + 1)
-	s.eng.AtTask(ready, s.getSUTask(u, idx))
+	t := s.getSeedRound()
+	s.collectSeed(t, u)
+	s.armSeedRound(t)
 }
 
 // issueBatch implements Read-in-Batch: all SUs receive reads together,
-// and the next batch waits for the slowest unit. Under faults only
-// healthy units receive reads; failed units count as permanently idle
-// so the batch barrier still closes.
+// as one seed round, and the next batch waits for the slowest unit.
+// Under faults only healthy units receive reads; failed units count as
+// permanently idle so the batch barrier still closes.
 func (s *System) issueBatch() {
 	now := s.eng.Now()
 	if s.inputDone() {
@@ -325,20 +282,16 @@ func (s *System) issueBatch() {
 		n = rem
 	}
 	s.idleSUs = len(s.sus) - n // units without work this batch stay idle
-	if s.opts.BatchedSU {
-		s.issueBatchRound(targets, n)
-		return
-	}
+	t := s.getSeedRound()
 	for i := 0; i < n; i++ {
-		u := targets[i]
 		idx, ok := s.takeRead()
 		if !ok {
 			break
 		}
-		ready := s.readReadyAt(now, idx)
-		u.SetBusy(now + 1)
-		s.eng.AtTask(ready, s.getSUTask(u, idx))
+		targets[i].SetBusy(now + 1)
+		t.entries = append(t.entries, suRoundEntry{u: targets[i], idx: int32(idx)})
 	}
+	s.armSeedRound(t)
 }
 
 // suDone records the unit's hits and pushes them to the Coordinator.
@@ -418,37 +371,17 @@ func (s *System) maybeSwitch() {
 	s.eng.At(now+1, s.tryRound)
 }
 
-// idleEUs lists the currently idle extension units. The returned slice
-// aliases a per-system scratch buffer, valid until the next idleEUs
-// call; every caller consumes it synchronously (the allocator copies
-// the pool into its own round scratch).
-func (s *System) idleEUs() []coordinator.IdleUnit {
-	idle := s.idleBuf[:0]
-	for _, u := range s.eus {
-		if u.State() == core.Idle {
-			idle = append(idle, coordinator.IdleUnit{ID: u.ID(), Class: u.Class(), PEs: u.PEs()})
-		}
-	}
-	s.idleBuf = idle
-	return idle
-}
-
 // tryRoundIfTriggered consults the Allocate Trigger (paper: request a
 // round when >= 15% of EUs idle); in drain mode any idle unit
 // justifies a round. Under faults the threshold is evaluated against
 // the surviving pool, so mass EU failure cannot starve the allocator.
 func (s *System) tryRoundIfTriggered() {
-	var idle int
-	if s.opts.Batched {
-		// O(1) consult: the maintained idle-pool counter replaces the
-		// full-pool scan on the hottest per-completion path.
-		if s.checkIdleCount != nil {
-			s.checkIdleCount()
-		}
-		idle = s.idleEUCount
-	} else {
-		idle = len(s.idleEUs())
+	// O(1) consult: this runs once per EU completion, so it reads the
+	// maintained idle-pool counter rather than scanning the pool.
+	if s.checkIdleCount != nil {
+		s.checkIdleCount()
 	}
+	idle := s.idleEUCount
 	drain := s.inputDone()
 	var fired bool
 	if s.flt != nil {
@@ -461,7 +394,9 @@ func (s *System) tryRoundIfTriggered() {
 	}
 }
 
-// tryRound executes one Hits Allocator round (Fig. 10).
+// tryRound executes one Hits Allocator round (Fig. 10). The window,
+// sort, and commit traffic in 4-byte arena IDs; only the round's final
+// materialization into dispatchable Assignments dereferences the slab.
 func (s *System) tryRound() {
 	if s.roundActive {
 		return
@@ -473,74 +408,13 @@ func (s *System) tryRound() {
 			return
 		}
 	}
-	var idle []coordinator.IdleUnit
-	if s.opts.Batched {
-		if s.checkIdleCount != nil {
-			s.checkIdleCount()
-		}
-		idle = s.idleEUsMask()
-	} else {
-		idle = s.idleEUs()
+	if s.checkIdleCount != nil {
+		s.checkIdleCount()
 	}
+	idle := s.idleEUs()
 	if len(idle) == 0 {
 		return
 	}
-	if s.arena != nil {
-		s.tryRoundArena(now, idle)
-		return
-	}
-	window := s.buffer.Window(s.opts.Config.AllocBatch)
-	o := s.opts.Obs
-	var winBefore []core.Hit
-	if o != nil {
-		winBefore = o.Inv.SnapshotWindow(window)
-	}
-	assigned, un := s.alloc.Allocate(window, idle)
-	if o != nil {
-		// The window aliases the PB: Allocate must not have mutated it
-		// (the Commit compaction below reads the same backing array).
-		o.Inv.CheckWindowUnchanged(now, winBefore, window)
-		o.AllocRound(now, len(window), len(assigned), len(un), len(idle),
-			coordinator.RoundLatency(len(window)))
-		s.observeRound(now, idle, assigned)
-	}
-	if len(assigned) == 0 {
-		return
-	}
-	allocHits := s.allocHits[:0]
-	for _, a := range assigned {
-		allocHits = append(allocHits, a.Hit)
-	}
-	s.allocHits = allocHits
-	s.buffer.Commit(allocHits, un)
-	if s.flt != nil {
-		s.flt.inFlight += len(allocHits)
-	}
-	if o != nil {
-		o.Inv.CheckConservation(now, int64(s.buffer.SBLen()+s.buffer.PBRemaining()), "round")
-		if s.flt != nil {
-			o.Inv.CheckFaultLedger(now, int64(s.flt.retryPending), int64(s.flt.inFlight))
-		}
-	}
-	s.roundActive = true
-	// Reserve the assigned units for the duration of the round.
-	for _, a := range assigned {
-		s.euSetBusy(s.eus[a.Unit.ID], now)
-	}
-	// assigned aliases the allocator's round scratch; that is safe to
-	// carry into the completion event because roundActive blocks any
-	// further Allocate until this task has consumed it.
-	s.eng.AtTask(now+coordinator.RoundLatency(len(window)), s.getRoundTask(assigned))
-}
-
-// tryRoundArena is tryRound's allocation step over arena IDs: the
-// window, sort, and commit traffic in 4-byte IDs; only the round's
-// final materialization into dispatchable Assignments dereferences the
-// slab. Every observable side effect (obs calls, commit compaction
-// order, unit reservations, round-completion schedule) happens in the
-// identical order as the value path, so Reports and traces stay
-// byte-identical across the RefHitBuffer toggle.
-func (s *System) tryRoundArena(now int64, idle []coordinator.IdleUnit) {
 	window := s.buffer.WindowIDs(s.opts.Config.AllocBatch)
 	o := s.opts.Obs
 	var winBefore []core.Hit
@@ -620,13 +494,7 @@ func (t *roundTask) Fire() {
 	t.assigned = nil
 	s.roundFree = append(s.roundFree, t)
 	s.roundActive = false
-	if s.opts.Batched {
-		s.dispatchBatch(assigned)
-	} else {
-		for _, a := range assigned {
-			s.dispatch(a)
-		}
-	}
+	s.dispatchBatch(assigned)
 	s.tryRoundIfTriggered()
 }
 
@@ -704,33 +572,9 @@ func (s *System) drain() {
 	}
 }
 
-// dispatch starts one extension task on its assigned unit.
-func (s *System) dispatch(a coordinator.Assignment) {
-	now := s.eng.Now()
-	u := s.eus[a.Unit.ID]
-	if o := s.opts.Obs; o != nil {
-		o.MemoLookup(s.memo != nil)
-	}
-	var oriented seq.Seq
-	if s.memo != nil {
-		// Replay mode: reuse the cached oriented view instead of
-		// reallocating a reverse complement per dispatch.
-		oriented = s.memo.Oriented(a.Hit.ReadIdx, a.Hit.Rev)
-	} else {
-		oriented = pipeline.Orient(s.reads[a.Hit.ReadIdx], a.Hit.Rev)
-	}
-	ext, done := u.Execute(now, oriented, a.Hit)
-	if s.flt != nil {
-		// Transient EU stall: the unit holds its result for the
-		// injected extra cycles.
-		if d := s.flt.inj.TakeEUStall(u.ID()); d > 0 {
-			done += d
-		}
-	}
-	s.eng.AtTask(done, s.getEUTask(u, ext))
-}
-
-// euTask is the pooled event payload for one extension's completion.
+// euTask is the pooled event payload for one retried extension's
+// completion (see retryFire); round dispatches complete through
+// batchTask instead.
 type euTask struct {
 	s   *System
 	u   *eu.Unit

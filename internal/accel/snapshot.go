@@ -13,7 +13,7 @@ import (
 )
 
 // Snapshot captures the system at its current synchronization point
-// (between fired events). The event heap holds closures and pooled
+// (between fired events). The event queue holds closures and pooled
 // task structs, so state cannot be byte-serialized directly; instead
 // the checkpoint records the engine position (cycle, fired count,
 // next seq), the feed log, and a canonical hash-guarded inventory of
@@ -326,8 +326,6 @@ func hashOptions(o *Options) uint64 {
 	d.I64(int64(ec.Traceback.SpillReadBits))
 	d.I64(int64(ec.Traceback.StepsPerCycle))
 	d.I64(int64(o.TraceBuckets))
-	d.I64(boolI64(o.Batched))
-	d.I64(boolI64(o.BatchedSU))
 	// The Seeder's identity cannot be hashed (it is an interface), but
 	// its presence changes the schedule; a resumed run must attach the
 	// same front end, which the state byte-compare then proves.

@@ -2,41 +2,32 @@ package accel
 
 import "nvwa/internal/su"
 
-// Batched SU seeding (Options.BatchedSU) issues each seed-allocation
-// site's reads as one pooled round vector instead of one scheduled
-// event per read — the seeding-side twin of the batched EU dispatch in
-// batch.go. The per-read path stays in run.go verbatim as the retained
-// reference scheduler; the two are pinned byte-identical by the
-// differential suite in suround_test.go. Identity holds by
-// construction, with the same three pillars as batch.go:
+// SU seeding issues each seed-allocation site's reads as one pooled
+// round vector — OCRA refills every idle SU in the same cycle — with
+// the same reserved sequencing as the EU dispatch rounds in batch.go:
 //
-//   - Seq reservation. Per-read scheduling consumes N consecutive
-//     engine sequence numbers pushing N seed-start events. The round
-//     reserves the same N up front (sim.ReserveSeqs) and keeps a
-//     single chained task resident in the heap, re-pushing itself at
-//     each entry's exact (ready, seq) via AtTaskSeq — so the global
-//     event order is the per-read order, event for event.
-//   - Same side-effect order. Round building consumes reads, resolves
-//     prefetcher ready cycles, and marks units busy in the identical
-//     unit order the per-read loop would, so the HBM bank state and
-//     the fault injector evolve identically. Each entry's seed fire
-//     runs at exactly its ready cycle (inline coalescing only merges
-//     same-cycle neighbours), so every su.Unit.Process call sees the
-//     same clock — and issues the same HBM accesses — as the per-read
-//     schedule.
+//   - Seq reservation. The round reserves one engine sequence number
+//     per read up front (sim.ReserveSeqs) and keeps a single chained
+//     task resident in the queue, re-pushing itself at each entry's
+//     exact (ready, seq) via AtTaskSeq — so seed starts interleave with
+//     every other event exactly as N individually scheduled seed-start
+//     events would.
+//   - Exact clocks. Round building consumes reads, resolves prefetcher
+//     ready cycles, and marks units busy in unit order; each entry's
+//     seed fire runs at exactly its ready cycle (inline coalescing only
+//     merges same-cycle neighbours), so every su.Unit.Process call sees
+//     the clock — and issues the HBM accesses — of its own read.
 //   - Completion handoff. Each seed fire schedules its completion as a
-//     pre-started suTask at the same point in the event stream where
-//     the per-read task would re-push itself, so completion ordering
-//     (and everything downstream: Coordinator pushes, buffer switches,
-//     allocation rounds) is untouched.
+//     suTask, drawing a fresh sequence number at that point in the
+//     event stream, so completion ordering (and everything downstream:
+//     Coordinator pushes, buffer switches, allocation rounds) follows
+//     the seeding clocks alone.
 //
-// One constraint shapes the design: seeding rounds only pool reads
-// issued within a single event fire (the One-Cycle init burst, one
-// Read-in-Batch issue, or a steady-state refill). Pooling across
-// events — say, deferring a refill to ride along with a later round —
-// would reorder su/HBM side effects and break byte identity, so a
-// refill becomes a singleton round, which ReserveSeqs(1)+AtTaskSeq
-// makes numerically identical to a plain AtTask.
+// Seeding rounds only pool reads issued within a single event fire
+// (the One-Cycle init burst, one Read-in-Batch issue, or a
+// steady-state refill). Pooling across events — say, deferring a
+// refill to ride along with a later round — would reorder su/HBM side
+// effects, so a refill is a singleton round.
 
 // suRoundEntry is one read's seed start: unit u seeds read idx
 // beginning at cycle ready, ordered by the reserved seq.
@@ -60,7 +51,7 @@ type suRoundTask struct {
 func (t *suRoundTask) TaskKind() string { return "seed-round" }
 
 // Fire implements sim.Task. Consecutive entries that start at the same
-// cycle are fired inline without a heap round-trip: the reserved
+// cycle are fired inline without a queue round-trip: the reserved
 // sequence numbers between two same-cycle neighbours all belong to
 // entries of this round armed at other cycles (reservation blocks are
 // disjoint, and events scheduled during seeding draw fresh, higher
@@ -86,21 +77,18 @@ func (t *suRoundTask) Fire() {
 	}
 }
 
-// fireSeed is the per-read task's seed-start body (suTask.Fire with
-// started == false): run the unit's search, absorb any injected SU
-// stall, and schedule the completion as a pre-started suTask — drawing
-// its fresh sequence number at the same point in the event stream
-// where the per-read task would re-push itself.
+// fireSeed starts one read's seeding: run the unit's search, absorb
+// any injected SU stall, and schedule the completion as a suTask.
 func (s *System) fireSeed(e suRoundEntry) {
 	hits, done := e.u.Process(s.eng.Now(), int(e.idx), s.reads[e.idx])
 	if s.flt != nil {
+		// Transient SU stall: the unit holds its result for the
+		// injected extra cycles.
 		if d := s.flt.inj.TakeSUStall(e.u.ID()); d > 0 {
 			done += d
 		}
 	}
-	ct := s.getSUTask(e.u, int(e.idx))
-	ct.hits, ct.started = hits, true
-	s.eng.AtTask(done, ct)
+	s.eng.AtTask(done, s.getSUTask(e.u, int(e.idx), hits))
 }
 
 // getSeedRound takes a round task from the freelist or allocates one,
@@ -116,9 +104,9 @@ func (s *System) getSeedRound() *suRoundTask {
 }
 
 // collectSeed appends unit u's next read to the round under OCRA
-// rules: failed units park, and input exhaustion stops the unit. This
-// is startOneCycle minus ready resolution and scheduling, which
-// armSeedRound performs for the whole vector.
+// rules: failed units park, and input exhaustion stops the unit. Ready
+// resolution and scheduling are left to armSeedRound, which performs
+// them for the whole vector.
 func (s *System) collectSeed(t *suRoundTask, u *su.Unit) {
 	if s.flt != nil && s.flt.inj.SUFailed(u.ID()) {
 		u.Stop()
@@ -134,8 +122,7 @@ func (s *System) collectSeed(t *suRoundTask, u *su.Unit) {
 }
 
 // startAllOneCycle is the One-Cycle Read Allocator's t=0 burst as one
-// round: every unit receives its first read in a single chained task
-// instead of 128 separate init events.
+// round: every unit receives its first read in a single chained task.
 func (s *System) startAllOneCycle() {
 	t := s.getSeedRound()
 	for _, u := range s.sus {
@@ -144,26 +131,9 @@ func (s *System) startAllOneCycle() {
 	s.armSeedRound(t)
 }
 
-// issueBatchRound is the Read-in-Batch issue body as one round: the
-// first n target units receive reads together. The caller has already
-// filtered failed units out of targets and set the idle count.
-func (s *System) issueBatchRound(targets []*su.Unit, n int) {
-	now := s.eng.Now()
-	t := s.getSeedRound()
-	for i := 0; i < n; i++ {
-		idx, ok := s.takeRead()
-		if !ok {
-			break
-		}
-		targets[i].SetBusy(now + 1)
-		t.entries = append(t.entries, suRoundEntry{u: targets[i], idx: int32(idx)})
-	}
-	s.armSeedRound(t)
-}
-
 // armSeedRound resolves the round's ready cycles through the
 // prefetcher's batched interface, reserves the entries' sequence
-// block, sorts into the engine heap's (ready, seq) order, and arms the
+// block, sorts into the engine's (ready, seq) order, and arms the
 // chain at the first slot. An empty round (all units parked) recycles
 // immediately.
 func (s *System) armSeedRound(t *suRoundTask) {
@@ -210,8 +180,8 @@ func (s *System) observeSeedRound(now int64, entries []suRoundEntry) {
 	s.opts.Obs.Inv.CheckSeedRound(now, readys, seqs, units)
 }
 
-// sortSeedRound orders a round by (ready, seq) — the engine heap's
-// total order. Insertion sort, for the same reasons as sortBatch:
+// sortSeedRound orders a round by (ready, seq) — the engine's total
+// order. Insertion sort, for the same reasons as sortBatch:
 // vectors are at most NumSUs entries, nearly sorted already (seqs
 // ascend in unit order and ready cycles mostly follow the prefetch
 // batches), and the hot path must not allocate.

@@ -1,88 +1,12 @@
 package accel
 
 import (
-	"fmt"
 	"testing"
 
-	"nvwa/internal/fault"
 	"nvwa/internal/obs"
 )
 
-// The batched-seeding contract: BatchedSU is byte-identical to
-// per-read seed scheduling. Swept across all four allocator strategies
-// × {fault-free, seeded fault plan} × both seed strategies (OCRA's
-// init burst + singleton refills, and Read-in-Batch's barrier issues
-// each exercise a different round shape).
-func TestBatchedSUByteIdentical(t *testing.T) {
-	t.Parallel()
-	a, reads := testWorkload(t, 150, 47)
-	plan := fault.Spec{
-		Seed: 9, Horizon: 20000,
-		SUStalls: 3, SUFails: 1, EUStalls: 4, EUFails: 2, MemTimeouts: 1,
-	}.Generate(16, 10)
-	for _, strat := range allStrategies {
-		for _, seedStrat := range []SeedStrategy{OneCycle, ReadInBatch} {
-			for _, faulted := range []bool{false, true} {
-				name := fmt.Sprintf("%s/%s/faults=%v", strat, seedStrat, faulted)
-				run := func(batchedSU bool) *Report {
-					o := smallOpts()
-					o.AllocStrategy = strat
-					o.SeedStrategy = seedStrat
-					o.BatchedSU = batchedSU
-					if faulted {
-						o.Faults = plan
-					}
-					sys, err := New(a, o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return sys.Run(reads)
-				}
-				perRead := reportBytes(t, run(false))
-				batched := reportBytes(t, run(true))
-				if string(perRead) != string(batched) {
-					t.Errorf("%s: batched-SU report diverges from per-read", name)
-				}
-			}
-		}
-	}
-}
-
-// Batched seeding composes with every other fast path: batched EU
-// dispatch, the functional-replay memo, and S=4 balanced sharding,
-// all on at once, must still match the everything-off reference byte
-// for byte.
-func TestBatchedSUComposedByteIdentical(t *testing.T) {
-	t.Parallel()
-	a, reads := testWorkload(t, 200, 53)
-	memo := BuildMemo(a, nil, reads, 0)
-	run := func(fast bool) *Report {
-		o := smallOpts()
-		o.Batched = fast
-		o.BatchedSU = fast
-		if fast {
-			o.Memo = memo
-		}
-		sys, err := NewSharded(a, ShardedOptions{
-			Options: o, Shards: 4, Policy: ShardBalanced,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, _, err := sys.RunDetailed(reads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	slow := reportBytes(t, run(false))
-	fast := reportBytes(t, run(true))
-	if string(slow) != string(fast) {
-		t.Error("S=4 balanced all-fast-paths merge diverges from reference")
-	}
-}
-
-// A batched-SU run under the full observability layer must pass every
+// A run under the full observability layer must pass every
 // seed-round invariant (sorted chains, future-only fires, distinct
 // units) and still produce the identical Report to an unobserved run.
 func TestBatchedSUObservedInvariants(t *testing.T) {
@@ -90,7 +14,6 @@ func TestBatchedSUObservedInvariants(t *testing.T) {
 	a, reads := testWorkload(t, 120, 59)
 	run := func(o *obs.Observer) *Report {
 		opts := smallOpts()
-		opts.BatchedSU = true
 		opts.Obs = o
 		sys, err := New(a, opts)
 		if err != nil {
@@ -108,7 +31,7 @@ func TestBatchedSUObservedInvariants(t *testing.T) {
 	}
 	plain := run(nil)
 	if string(reportBytes(t, observed)) != string(reportBytes(t, plain)) {
-		t.Error("observed batched-SU report diverges from unobserved")
+		t.Error("observed report diverges from unobserved")
 	}
 }
 
@@ -131,14 +54,11 @@ func TestSortSeedRoundOrdersByReadyThenSeq(t *testing.T) {
 	}
 }
 
-// Steady-state batched seeding must stay within the same allocation
-// budget as the pooled per-read tasks it replaces: round tasks,
+// Steady-state batched seeding must stay allocation-free: round tasks,
 // index/ready scratch, and completion tasks all recycle.
 func TestBatchedSUSteadyStateZeroAlloc(t *testing.T) {
 	a, reads := testWorkload(t, 60, 61)
 	o := smallOpts()
-	o.Batched = true
-	o.BatchedSU = true
 	o.Memo = BuildMemo(a, nil, reads, 0)
 	// Warm run sizes every freelist and scratch buffer.
 	sys, err := New(a, o)
@@ -157,8 +77,8 @@ func TestBatchedSUSteadyStateZeroAlloc(t *testing.T) {
 	// Same budget rationale as the batched-dispatch test: a full Run
 	// allocates for results/report assembly, but the seeding machinery
 	// itself must add nothing per read or per round.
-	perReadBudget := float64(len(reads) + 600)
-	if allocs > perReadBudget {
-		t.Fatalf("batched-SU Run allocated %.0f times, budget %.0f", allocs, perReadBudget)
+	budget := float64(len(reads) + 600)
+	if allocs > budget {
+		t.Fatalf("Run allocated %.0f times, budget %.0f", allocs, budget)
 	}
 }

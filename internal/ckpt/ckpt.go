@@ -32,7 +32,7 @@ const (
 	// change to the state inventory or encoding layout; there is no
 	// cross-version migration — determinism across versions cannot be
 	// guaranteed, so old checkpoints are rejected rather than misread.
-	Version = 1
+	Version = 2
 )
 
 const (

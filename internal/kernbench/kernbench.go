@@ -3,10 +3,12 @@
 // and the `nvwa-bench -kernels` JSON emitter run the exact same
 // measurement bodies.
 //
-// Every case pairs an optimized kernel with its retained reference
+// Most cases pair an optimized kernel with its retained reference
 // implementation — the verbatim pre-optimization code path, kept as
 // the correctness oracle — so the reported speedups compare against
-// the honest original cost profile, not a re-optimized stand-in:
+// the honest original cost profile, not a re-optimized stand-in. A
+// case whose reference path no longer exists is after-only: it has no
+// speedup and is gated on its absolute allocs/op instead.
 //
 //   - align.Extend: full-row DP (ExtendReference) vs the z-drop-aware
 //     shrinking-band kernel with reused Scratch.
@@ -22,20 +24,13 @@
 //     reference kernel selected vs the optimized kernels.
 //   - accel.MergeReports: the fresh-scratch reference shard merge vs
 //     the reused zero-alloc MergeAcc reduction.
-//   - accel.Dispatch: the full memoized system with per-hit scheduled
-//     completions and O(EUs) trigger scans vs pooled batch vectors
-//     with reserved sequencing and the O(1) idle counter.
-//   - su.Dispatch: per-read seed-start events vs pooled SU round
-//     vectors chained through reserved completion sequencing.
 //   - sim.Events: the binary min-heap event queue vs the cycle-bucketed
 //     calendar queue (identical (at, seq) pop order).
-//   - accel.EndToEnd: the reference heap + value-mode hits buffer vs
-//     the calendar queue + index-based hit arena on the full memoized
-//     batched system.
+//   - accel.Replay (after-only): the full memoized accelerator system
+//     under the default NvWaOptions.
 package kernbench
 
 import (
-	"encoding/json"
 	"math/rand"
 	"sync"
 	"testing"
@@ -57,7 +52,8 @@ type Case struct {
 	Kernel string
 	// Note says what each side runs.
 	Note string
-	// Before benchmarks the retained reference implementation.
+	// Before benchmarks the retained reference implementation; nil
+	// for an after-only case.
 	Before func(b *testing.B)
 	// After benchmarks the optimized kernel.
 	After func(b *testing.B)
@@ -338,8 +334,7 @@ func Cases() []Case {
 			},
 		},
 	}
-	cases = append(cases, mergeCase(), dispatchCase(), seedRoundCase(),
-		calendarCase(), arenaEndToEndCase())
+	cases = append(cases, mergeCase(), calendarCase(), replayCase())
 	return cases
 }
 
@@ -387,60 +382,6 @@ func calendarCase() Case {
 	}
 }
 
-// arenaEndToEndCase pairs the full PR 8 configuration (memoized,
-// batched EU + SU dispatch) on the reference heap + value-mode hits
-// buffer against the same configuration on the calendar queue +
-// index-based hit arena — the tentpole's end-to-end speedup row. The
-// After side asserts byte-identity against the reference before the
-// timed region.
-func arenaEndToEndCase() Case {
-	run := func(b *testing.B, ref bool) *accel.Report {
-		a, reads, memo := dispatchData()
-		o := accel.NvWaOptions()
-		o.Memo = memo
-		o.Batched = true
-		o.BatchedSU = true
-		o.TraceBuckets = 4
-		o.RefEventQueue = ref
-		o.RefHitBuffer = ref
-		sys, err := accel.New(a, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return sys.Run(reads)
-	}
-	return Case{
-		Kernel: "accel.EndToEnd/arena",
-		Note:   "reference heap + value hits buffer vs calendar queue + index-based hit arena, full batched system",
-		Before: func(b *testing.B) {
-			run(b, true) // warm memo and freelists
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(b, true)
-			}
-		},
-		After: func(b *testing.B) {
-			ref, err := json.Marshal(run(b, true))
-			if err != nil {
-				b.Fatal(err)
-			}
-			got, err := json.Marshal(run(b, false))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if string(ref) != string(got) {
-				b.Fatal("calendar+arena report diverges from reference heap+value path")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(b, false)
-			}
-		},
-	}
-}
-
 var (
 	dispatchOnce    sync.Once
 	dispatchAligner *pipeline.Aligner
@@ -450,8 +391,8 @@ var (
 
 // dispatchData builds the dispatch workload: a read set large enough
 // that the event loop dominates System construction, with one warmed
-// functional-replay memo shared by both modes so the measurement times
-// only the scheduling machinery.
+// functional-replay memo so the measurement times only the scheduling
+// machinery.
 func dispatchData() (*pipeline.Aligner, []seq.Seq, *accel.Memo) {
 	dispatchOnce.Do(func() {
 		ref := genome.Generate(genome.HumanLike(), 100000, 17)
@@ -464,110 +405,34 @@ func dispatchData() (*pipeline.Aligner, []seq.Seq, *accel.Memo) {
 	return dispatchAligner, dispatchReads, dispatchMemo
 }
 
-// dispatchCase pairs per-hit dispatch (the retained reference
-// dispatcher) against batched dispatch on the full memoized system.
-// Both sides replay the same memo, so the measurement isolates the
-// scheduling machinery the Batched option replaces. The After side
-// asserts byte-identity against the reference before the timed region —
-// a diverging report would make the speedup meaningless.
-func dispatchCase() Case {
-	run := func(b *testing.B, batched bool) *accel.Report {
+// replayCase times the full accelerator system replaying the dispatch
+// workload's memo under the default NvWaOptions, so only the
+// scheduling layers run: SU/EU cost models, Coordinator rounds, the
+// event engine, and report assembly. It has no reference side; the
+// row is gated on its absolute allocs/op.
+func replayCase() Case {
+	run := func(b *testing.B) {
 		a, reads, memo := dispatchData()
 		o := accel.NvWaOptions()
 		o.Memo = memo
-		o.Batched = batched
-		// Trace resolution is orthogonal to dispatch; a coarse series
+		// Trace resolution is orthogonal to scheduling; a coarse series
 		// keeps report assembly from diluting the measured machinery.
 		o.TraceBuckets = 4
 		sys, err := accel.New(a, o)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return sys.Run(reads)
+		sys.Run(reads)
 	}
 	return Case{
-		Kernel: "accel.Dispatch/full-system",
-		Note:   "per-hit scheduled completions + O(EUs) trigger scans (reference) vs pooled batch vectors + O(1) idle counter",
-		Before: func(b *testing.B) {
-			run(b, false) // warm memo and freelists
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(b, false)
-			}
-		},
+		Kernel: "accel.Replay/full-system",
+		Note:   "full memoized system under NvWaOptions (after-only: no reference side)",
 		After: func(b *testing.B) {
-			ref, err := json.Marshal(run(b, false))
-			if err != nil {
-				b.Fatal(err)
-			}
-			got, err := json.Marshal(run(b, true))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if string(ref) != string(got) {
-				b.Fatal("batched dispatch report diverges from per-hit reference")
-			}
+			run(b) // warm the memo
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				run(b, true)
-			}
-		},
-	}
-}
-
-// seedRoundCase pairs per-read seed scheduling (the retained reference
-// seeder) against batched SU rounds on the full memoized system. The
-// Read-in-Batch strategy is the round-friendly workload: every issue
-// arms up to NumSUs reads at once, most of which coalesce into a
-// handful of chained fires, whereas OCRA's steady state is singleton
-// refills with no pooling opportunity by construction. Batched EU
-// dispatch is on for both sides so the measurement isolates the
-// seeding-side machinery; the After side asserts byte-identity against
-// the reference before the timed region.
-func seedRoundCase() Case {
-	run := func(b *testing.B, batchedSU bool) *accel.Report {
-		a, reads, memo := dispatchData()
-		o := accel.NvWaOptions()
-		o.SeedStrategy = accel.ReadInBatch
-		o.Memo = memo
-		o.Batched = true
-		o.BatchedSU = batchedSU
-		o.TraceBuckets = 4
-		sys, err := accel.New(a, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return sys.Run(reads)
-	}
-	return Case{
-		Kernel: "su.Dispatch/seed-rounds",
-		Note:   "per-read seed events (reference) vs pooled SU round vectors with reserved sequencing",
-		Before: func(b *testing.B) {
-			run(b, false) // warm memo and freelists
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(b, false)
-			}
-		},
-		After: func(b *testing.B) {
-			ref, err := json.Marshal(run(b, false))
-			if err != nil {
-				b.Fatal(err)
-			}
-			got, err := json.Marshal(run(b, true))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if string(ref) != string(got) {
-				b.Fatal("batched-SU report diverges from per-read reference")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(b, true)
+				run(b)
 			}
 		},
 	}

@@ -7,7 +7,9 @@ import "testing"
 //	go test -bench 'BenchmarkKernels/align.Extend' ./internal/kernbench
 func BenchmarkKernels(b *testing.B) {
 	for _, c := range Cases() {
-		b.Run(c.Kernel+"/before", c.Before)
+		if c.Before != nil {
+			b.Run(c.Kernel+"/before", c.Before)
+		}
 		b.Run(c.Kernel+"/after", c.After)
 	}
 }
@@ -18,20 +20,17 @@ func TestCasesRun(t *testing.T) {
 	for _, c := range Cases() {
 		c := c
 		t.Run(c.Kernel, func(t *testing.T) {
-			r := testing.Benchmark(func(b *testing.B) {
-				if b.N > 1 { // keep the smoke test cheap
-					b.Skip()
+			for _, body := range []func(*testing.B){c.Before, c.After} {
+				if body == nil {
+					continue
 				}
-				c.Before(b)
-			})
-			_ = r
-			r = testing.Benchmark(func(b *testing.B) {
-				if b.N > 1 {
-					b.Skip()
-				}
-				c.After(b)
-			})
-			_ = r
+				testing.Benchmark(func(b *testing.B) {
+					if b.N > 1 { // keep the smoke test cheap
+						b.Skip()
+					}
+					body(b)
+				})
+			}
 		})
 	}
 }

@@ -32,10 +32,6 @@ type kernelFile struct {
 	GeneratedAt string      `json:"generated_at"`
 	Host        benchHost   `json:"host"`
 	Rows        []kernelRow `json:"rows"`
-	// EndToEndSpeedup is the pipeline.Align/end-to-end row's speedup:
-	// the whole software aligner with reference kernels versus
-	// optimized kernels.
-	EndToEndSpeedup float64 `json:"end_to_end_speedup"`
 }
 
 // measureKernels runs the kernbench suite through testing.Benchmark.
@@ -69,9 +65,6 @@ func measureKernels(filter string) kernelFile {
 				row.Speedup = row.BeforeNsOp / row.AfterNsOp
 			}
 		}
-		if c.Kernel == endToEndKernel {
-			out.EndToEndSpeedup = row.Speedup
-		}
 		out.Rows = append(out.Rows, row)
 		fmt.Printf("%-28s %12.0f %12.0f %7.2fx %5d/%-5d %5d/%-5d\n",
 			row.Kernel, row.BeforeNsOp, row.AfterNsOp, row.Speedup,
@@ -103,24 +96,13 @@ func runKernelBench(path, filter string) error {
 	return nil
 }
 
-// Absolute floors enforced by -kernels-check on top of the relative
-// per-kernel regression tolerance. Each is a before/after ratio
-// measured in one process on one machine, so it is a
+// minCalendarSpeedup is the absolute floor -kernels-check enforces on
+// the sim.Events row on top of the relative per-kernel regression
+// tolerance: the calendar queue must hold this speedup over the
+// reference binary min-heap on the pure scheduling workload. The ratio
+// is measured in one process on one machine, so it is a
 // machine-independent signal the check can gate on absolutely.
-const (
-	// minEndToEndSpeedup is the floor on the pipeline.Align
-	// end-to-end row: the optimized kernels must hold at least this
-	// speedup over the retained reference kernels.
-	minEndToEndSpeedup = 1.5
-	// minSeedsLUTSpeedup is the floor on the fmindex.Seeds row: the
-	// interleaved-layout + LUT jump-start seeding path must hold this
-	// speedup over the retained per-word scratch reference.
-	minSeedsLUTSpeedup = 1.4
-	// minCalendarSpeedup is the floor on the sim.Events row: the
-	// calendar queue must hold this speedup over the reference binary
-	// min-heap on the pure scheduling workload.
-	minCalendarSpeedup = 1.3
-)
+const minCalendarSpeedup = 1.3
 
 // maxReplayAllocs is the absolute allocs/op ceiling on the after-only
 // accel.Replay row: the count the former accel.EndToEnd/arena row
@@ -131,8 +113,7 @@ const maxReplayAllocs = 2014
 
 // Kernel ids the absolute gates apply to.
 const (
-	seedsLUTKernel = "fmindex.Seeds/LUT"
-	endToEndKernel = "pipeline.Align/end-to-end"
+	seedsKernel    = "fmindex.Seeds/101bp"
 	calendarKernel = "sim.Events/calendar"
 	replayKernel   = "accel.Replay/full-system"
 )
@@ -140,9 +121,9 @@ const (
 // zeroAllocKernels are rows whose optimized side must stay strictly
 // allocation-free per op (amortized: ring/bucket growth may round to
 // zero but never to one). A single alloc/op on these rows means a hot
-// scheduling path regressed to heap traffic, regardless of what the
-// baseline recorded.
-var zeroAllocKernels = []string{calendarKernel}
+// seeding or scheduling path regressed to heap traffic, regardless of
+// what the baseline recorded.
+var zeroAllocKernels = []string{seedsKernel, calendarKernel}
 
 // checkKernelBench measures the suite fresh and compares it against a
 // committed baseline file. Absolute ns/op is machine-dependent, so the
@@ -155,17 +136,16 @@ var zeroAllocKernels = []string{calendarKernel}
 //     larger drop means the optimized kernel lost ground against the
 //     reference implementation compiled from the same tree); after-only
 //     rows have no speedup and skip this check,
-//   - the end-to-end row must hold the absolute minEndToEndSpeedup
-//     floor, the LUT seeding row the minSeedsLUTSpeedup floor, and the
-//     calendar-queue row the minCalendarSpeedup floor, regardless of
-//     what the baseline file recorded,
+//   - the calendar-queue row must hold the absolute
+//     minCalendarSpeedup floor, regardless of what the baseline file
+//     recorded,
 //   - the full-system replay row must stay at or under
 //     maxReplayAllocs allocs/op, absolutely,
 //   - rows in zeroAllocKernels must measure 0 allocs/op on the
 //     optimized side, absolutely.
 //
 // A non-empty filter restricts the check (and the disappeared-kernel
-// scan) to matching kernels; floors whose row was filtered out are
+// scan) to matching kernels; a floor whose row was filtered out is
 // skipped.
 func checkKernelBench(baselinePath string, tol float64, filter string) error {
 	data, err := os.ReadFile(baselinePath)
@@ -180,25 +160,17 @@ func checkKernelBench(baselinePath string, tol float64, filter string) error {
 	for _, r := range base.Rows {
 		baseRows[r.Kernel] = r
 	}
-	floors := map[string]float64{
-		seedsLUTKernel: minSeedsLUTSpeedup,
-		calendarKernel: minCalendarSpeedup,
-	}
 	strictZero := map[string]bool{}
 	for _, k := range zeroAllocKernels {
 		strictZero[k] = true
 	}
 	fresh := measureKernels(filter)
 	var failures []string
-	sawEndToEnd := false
 	for _, r := range fresh.Rows {
-		if r.Kernel == endToEndKernel {
-			sawEndToEnd = true
-		}
-		if floor, ok := floors[r.Kernel]; ok && r.Speedup < floor {
+		if r.Kernel == calendarKernel && r.Speedup < minCalendarSpeedup {
 			failures = append(failures, fmt.Sprintf(
 				"%s: optimized kernel lost to its retained reference (%.2fx < %.2fx floor)",
-				r.Kernel, r.Speedup, floor))
+				r.Kernel, r.Speedup, minCalendarSpeedup))
 		}
 		if r.Kernel == replayKernel && r.AfterAllocsOp > maxReplayAllocs {
 			failures = append(failures, fmt.Sprintf(
@@ -225,11 +197,6 @@ func checkKernelBench(baselinePath string, tol float64, filter string) error {
 				"%s: speedup regressed %.2fx -> %.2fx (floor %.2fx at tol %.0f%%)",
 				r.Kernel, b.Speedup, r.Speedup, floor, tol*100))
 		}
-	}
-	if sawEndToEnd && fresh.EndToEndSpeedup < minEndToEndSpeedup {
-		failures = append(failures, fmt.Sprintf(
-			"end_to_end_speedup %.2fx below the %.2fx floor",
-			fresh.EndToEndSpeedup, minEndToEndSpeedup))
 	}
 	for k := range baseRows {
 		if filter != "" && !strings.Contains(k, filter) {

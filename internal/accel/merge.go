@@ -239,9 +239,8 @@ func (a *MergeAcc) Merged(clockGHz float64) *Report {
 
 // MergeReportsReference is the specification implementation of the
 // shard merge: an independent, readable oracle the optimized MergeAcc
-// path is tested against (the same role ExtendReference and
-// SeedsReference play for their scratch kernels). It allocates fresh
-// scratch per call and accumulates each field in the same shard order
+// path is tested against (the role ExtendReference plays for the
+// banded extension kernel). It allocates fresh scratch per call and accumulates each field in the same shard order
 // and operation order as MergeAcc, so the two paths agree exactly —
 // not just approximately — on every float.
 func MergeReportsReference(reps []*Report, clockGHz float64) *Report {

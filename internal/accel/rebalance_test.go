@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nvwa/internal/fault"
+	"nvwa/internal/fmindex"
 )
 
 // lcgCosts generates a deterministic pseudo-random cost vector without
@@ -158,11 +159,11 @@ func TestEstimateReadCostsWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestEstimateReadCostsLUTInvariance pins the satellite contract of the
-// seeding fast path: routing the cost probe through the k-mer LUT
-// jump-start changes how counts are computed, not what they are, so the
-// cost vector — and the steal schedule PlanBalanced derives from it —
-// is bit-identical to the plain backward-search probe.
+// TestEstimateReadCostsLUTInvariance pins that routing the cost probe
+// through the k-mer LUT jump-start changes how counts are computed, not
+// what they are: the cost vector — and the steal schedule PlanBalanced
+// derives from it — is bit-identical to the plain backward-search probe
+// over a bidirectional index of the same text with no table attached.
 func TestEstimateReadCostsLUTInvariance(t *testing.T) {
 	t.Parallel()
 	a, reads := testWorkload(t, 160, 43)
@@ -170,9 +171,18 @@ func TestEstimateReadCostsLUTInvariance(t *testing.T) {
 		t.Fatal("expected a default LUT on the test reference")
 	}
 	withLUT := EstimateReadCosts(a, reads, 0)
-	a.Seeder().SetFastSeeds(false) // detaches the jump: CountLUT falls back
-	plain := EstimateReadCosts(a, reads, 0)
-	a.Seeder().SetFastSeeds(true)
+	// The seeder indexes text·revcomp(text); NewBi attaches no LUT, so
+	// CountLUT falls back to plain backward search.
+	text := append(append([]byte(nil), a.Ref()...), a.Ref().RevComp()...)
+	bare := fmindex.NewBi(text)
+	if bare.LUT() != nil {
+		t.Fatal("NewBi attached a LUT")
+	}
+	plain := make([]float64, len(reads))
+	var st fmindex.Stats
+	for i, r := range reads {
+		plain[i] = probeReadCost(bare, r, &st)
+	}
 	if !reflect.DeepEqual(withLUT, plain) {
 		t.Fatal("cost vector differs between LUT and plain probes")
 	}

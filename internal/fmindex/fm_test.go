@@ -107,7 +107,7 @@ func TestLocateMatchesBruteForce(t *testing.T) {
 				iv = idx.Extend(iv, p[i], nil)
 			}
 			var st Stats
-			got := idx.LocateAll(iv, 0, &st)
+			got := idx.LocateAllInto(nil, iv, 0, &st)
 			want := brutePositions(text, p)
 			if len(got) != len(want) {
 				t.Fatalf("locate count %d != %d", len(got), len(want))
@@ -135,7 +135,7 @@ func TestLocateAllCap(t *testing.T) {
 	iv := idx.Full()
 	iv = idx.Extend(iv, 0, nil)
 	iv = idx.Extend(iv, 0, nil)
-	got := idx.LocateAll(iv, 5, nil)
+	got := idx.LocateAllInto(nil, iv, 5, nil)
 	if len(got) != 5 {
 		t.Fatalf("capped locate returned %d positions", len(got))
 	}
@@ -170,6 +170,7 @@ func TestOccIntervalBoundaries(t *testing.T) {
 		text[i] = byte(rng.Intn(4))
 	}
 	idx := New(text)
+	bwt, primary := BWTFromSA(text, BuildSuffixArray(text))
 	counts := make([]int, 4)
 	for i := 0; i < idx.size(); i++ {
 		for a := byte(0); a < 4; a++ {
@@ -177,8 +178,8 @@ func TestOccIntervalBoundaries(t *testing.T) {
 				t.Fatalf("occ(%d,%d) = %d, want %d", a, i, got, counts[a])
 			}
 		}
-		if i != idx.primary {
-			counts[idx.bwtAt(i)]++
+		if i != primary {
+			counts[bwt[i]]++
 		}
 	}
 }

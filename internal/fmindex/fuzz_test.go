@@ -2,14 +2,13 @@ package fmindex
 
 import "testing"
 
-// FuzzSeedsLUTVsReference drives the full seeding fast path —
-// interleaved rank layout plus k-mer LUT jump-start — against the
-// original SeedsReference oracle running over the 128-base scanning
-// rank, on fuzzer-chosen reference/read pairs. Seeds (values and
-// order) and charged Stats must both agree exactly: the Stats contract
-// is what keeps simulated Reports byte-identical when the fast path is
-// toggled, so a divergence here is a simulator-fidelity bug, not just
-// a software one.
+// FuzzSeedsLUTVsReference drives workspace seeding with the k-mer LUT
+// jump-start against the original SeedsReference oracle (allocating
+// passes, map dedup, plain stepwise search) on fuzzer-chosen
+// reference/read pairs. Seeds (values and order) and charged Stats must
+// both agree exactly: Stats are the SU cycle model's only input, so a
+// divergence here is a simulator-fidelity bug, not just a software
+// one.
 func FuzzSeedsLUTVsReference(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 2, 1, 0, 3, 1, 1, 2, 0}, []byte{0, 1, 2, 3, 2, 1}, byte(4), byte(8))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0}, []byte{0, 0, 0, 0}, byte(2), byte(0))
@@ -50,9 +49,6 @@ func FuzzSeedsLUTVsReference(f *testing.F) {
 		var ws Workspace
 		var stFast, stRef Stats
 		fast := sd.SeedsWS(&ws, r, minLen, 16, maxMemIntv, &stFast)
-
-		sd.SetFastSeeds(false)
-		sd.SetReferenceRank(true)
 		ref := sd.SeedsReference(r, minLen, 16, maxMemIntv, &stRef)
 
 		if len(fast) != len(ref) {
@@ -102,8 +98,9 @@ func FuzzSMEMvsNaive(f *testing.F) {
 		minLen := 1 + int(minLenRaw)%8
 
 		bi := NewBi(text)
+		var ws Workspace
 		var st Stats
-		got := bi.FindSMEMs(r, minLen, &st)
+		got := bi.FindSMEMsWS(&ws, r, minLen, &st)
 		want := bruteSMEMs(text, r, minLen)
 
 		if len(got) != len(want) {

@@ -2,24 +2,16 @@ package fmindex
 
 import "math/bits"
 
-// Interleaved FM-index layout: the default rank path keeps each BWT
-// word's occurrence checkpoint in the same 24-byte block as the word
-// it summarizes, so one rank query touches one cache line instead of
-// two arrays a megabyte apart (the SoA occW/bwt split). This is the
-// data-locality discipline of GPU/FPGA BWT kernels (SaLoBa's
-// coalesced occ blocks, BWA-MEM2's interleaved cp_occ): the modeled
-// hardware is unchanged — Stats still charges one OccInterval-block
-// read per Occ evaluation — only the software's memory layout under
-// the SeedsWS API moves.
-//
-// Three rank implementations coexist, selected per Index:
-//
-//	interleaved blocks  — the default fast path (this file)
-//	per-word SoA        — PR 3's scratch path, retained via SetFastRank(false)
-//	128-base block scan — the original oracle, via SetReferenceRank(true)
-//
-// All three return identical counts and charge identical Stats; the
-// equivalence suite and FuzzSeedsLUTVsReference pin it.
+// Interleaved FM-index layout: each BWT word's occurrence checkpoint
+// lives in the same 24-byte block as the word it summarizes, so one
+// rank query touches one cache line. This is the data-locality
+// discipline of GPU/FPGA BWT kernels (SaLoBa's coalesced occ blocks,
+// BWA-MEM2's interleaved cp_occ). It is the index's only rank
+// implementation, and it is a software layout only: the modeled
+// hardware is unchanged, and Stats still charges one OccInterval-block
+// read per Occ evaluation.
+
+const loPairs = uint64(0x5555555555555555)
 
 // occBlock interleaves one BWT word with the occurrence checkpoint
 // covering bwt[0 : w*32). 24 bytes: checkpoint and word share a line.
@@ -28,36 +20,42 @@ type occBlock struct {
 	word uint64
 }
 
-// buildBlocks derives the interleaved layout from the packed BWT and
-// the per-word checkpoints (New calls it once; both SoA arrays are
-// retained for the reference paths).
-func (x *Index) buildBlocks() {
-	nw := len(x.bwt)
-	x.blocks = make([]occBlock, nw+1)
-	for w := 0; w <= nw; w++ {
-		x.blocks[w].cnt = x.occW[w]
-		if w < nw {
-			x.blocks[w].word = x.bwt[w]
+// buildBlocks packs the BWT bytes (sentinel at row primary) into
+// interleaved blocks. The trailing block holds the full-text counts, so
+// a rank query at i = len(bwt) stays in range.
+func buildBlocks(bwt []byte, primary int) []occBlock {
+	nw := (len(bwt) + basesPerWord - 1) / basesPerWord
+	blocks := make([]occBlock, nw+1)
+	var running [4]int32
+	for i, b := range bwt {
+		w, r := i/basesPerWord, i%basesPerWord
+		if r == 0 {
+			blocks[w].cnt = running
+		}
+		blocks[w].word |= uint64(b&3) << uint(r*2)
+		if i != primary {
+			running[b&3]++
 		}
 	}
-	x.fast = true
+	blocks[nw].cnt = running
+	return blocks
 }
 
-// SetFastRank routes this index's rank queries through the interleaved
-// block layout (the default) or back to the per-word SoA scratch path
-// (v=false) — the honest "before" side of the fmindex.Seeds/LUT
-// benchmark. SetReferenceRank(true) overrides both. Results and Stats
-// are identical on every path.
-func (x *Index) SetFastRank(v bool) { x.fast = v }
-
-// occRawFast is occRaw over the interleaved layout: one block load
-// serves the checkpoint and the partial word. i must be in (0, size].
-func (x *Index) occRawFast(a byte, i int) int {
+// occRaw returns the number of occurrences of base a in bwt[0:i), the
+// sentinel excluded; i is clamped to [0, size]. One block load serves
+// the checkpoint and the partial word.
+func (x *Index) occRaw(a byte, i int) int {
+	if i <= 0 {
+		return 0
+	}
+	if i > x.size() {
+		i = x.size()
+	}
 	w := uint(i) / basesPerWord
 	b := &x.blocks[w]
 	count := int(b.cnt[a])
 	if r := uint(i) % basesPerWord; r != 0 {
-		word := b.word ^ ^(uint64(a&3) * loPairs)
+		word := b.word ^ ^(uint64(a&3) * loPairs) // bases equal to a become 0b11 pairs
 		word = word & (word >> 1) & loPairs & (1<<(2*r) - 1)
 		count += bits.OnesCount64(word)
 	}
@@ -67,9 +65,15 @@ func (x *Index) occRawFast(a byte, i int) int {
 	return count
 }
 
-// occ4Fast returns the four occurrence counts in bwt[0:i) from one
-// interleaved block. i must be in [0, size].
-func (x *Index) occ4Fast(i int) (o0, o1, o2, o3 int) {
+// occ4Raw returns the four occurrence counts in bwt[0:i) from one
+// block, the sentinel excluded; i is clamped to [0, size].
+func (x *Index) occ4Raw(i int) (o0, o1, o2, o3 int) {
+	if uint(i) > uint(x.size()) {
+		if i < 0 {
+			return
+		}
+		i = x.size()
+	}
 	w := uint(i) / basesPerWord
 	b := &x.blocks[w]
 	o0, o1, o2, o3 = int(b.cnt[0]), int(b.cnt[1]), int(b.cnt[2]), int(b.cnt[3])
@@ -92,14 +96,14 @@ func (x *Index) occ4Fast(i int) (o0, o1, o2, o3 int) {
 	return
 }
 
-// extendFast is the fused bidirectional extension over the interleaved
-// layout: both Occ4 evaluations, the sentinel correction, and the
-// prefix sums run inline on unboxed ints. x is the index being ranked
-// (fwd for a left extension, rev for a right one); the caller swaps
-// the two halves of iv accordingly and charges the two OccAccesses.
-func extendFast(x *Index, main, other Interval, a byte) (Interval, Interval) {
-	l0, l1, l2, l3 := x.occ4Fast(main.Lo)
-	h0, h1, h2, h3 := x.occ4Fast(main.Hi)
+// extendBi is one bidirectional extension step: both four-base rank
+// evaluations, the sentinel correction, and the prefix sums run inline
+// on unboxed ints. x is the index being ranked (fwd for a left
+// extension, rev for a right one); the caller swaps the two halves of
+// the bi-interval accordingly and charges the two OccAccesses.
+func extendBi(x *Index, main, other Interval, a byte) (Interval, Interval) {
+	l0, l1, l2, l3 := x.occ4Raw(main.Lo)
+	h0, h1, h2, h3 := x.occ4Raw(main.Hi)
 	s0, s1, s2, s3 := h0-l0, h1-l1, h2-l2, h3-l3
 	// Occurrences preceded by the start of text (sentinel in the BWT):
 	// in the other index these sort before every extension.
@@ -126,11 +130,12 @@ func extendFast(x *Index, main, other Interval, a byte) (Interval, Interval) {
 	return outMain, Interval{lo, lo + sz}
 }
 
-// locateFast is Locate with the LF step fused over the interleaved
-// layout: one block load per step serves both the BWT symbol and its
-// rank. Charges per step are identical to lf (one LFStep and one
-// OccAccess per non-sentinel row; the sentinel row maps to 0 free).
-func (x *Index) locateFast(i int, st *Stats) int {
+// Locate returns the text position of the suffix at SA row i by
+// LF-walking to the nearest sampled row. One block load per step
+// serves both the BWT symbol and its rank. Each non-sentinel step
+// charges one LFStep and one OccAccess; the sentinel row maps to row 0
+// free of charge.
+func (x *Index) Locate(i int, st *Stats) int {
 	steps := 0
 	for x.saMask[uint(i)/64]&(1<<(uint(i)%64)) == 0 {
 		if i == x.primary {

@@ -130,15 +130,13 @@ func (b *BiIndex) BuildLUT(k int) error {
 // LUT returns the attached jump-start table, or nil.
 func (b *BiIndex) LUT() *KmerLUT { return b.lut }
 
-// lutFor returns the attached table when the fast path may use it for
-// a search of pattern length minLen: the table must exist, the fast
-// layout must be active (the reference and per-word scratch paths
-// reproduce the original code paths verbatim), and the jump must not
+// lutFor returns the attached table when a search of pattern length
+// minLen may use it: the table must exist, and the jump must not
 // overrun the first possible emission point (k <= minLen keeps the
 // skipped steps strictly inside the no-emission prefix). Reads shorter
 // than k fall back at the call site.
 func (b *BiIndex) lutFor(minLen int) *KmerLUT {
-	if l := b.lut; l != nil && b.fastOn() && l.k <= minLen {
+	if l := b.lut; l != nil && l.k <= minLen {
 		return l
 	}
 	return nil

@@ -116,11 +116,11 @@ func TestCountLUTMatchesCount(t *testing.T) {
 	}
 }
 
-// TestFastSeedsToggleIdentical is the core fast-path contract: seeds
-// AND Stats from the interleaved+LUT path equal the per-word scratch
-// path and the original reference, over reads spanning the boundary
-// cases — shorter than k, shorter than minLen, minLen below k (jump
-// disabled), and regular reads.
+// TestFastSeedsToggleIdentical is the core LUT contract: seeds AND
+// Stats from workspace seeding with the jump-start equal the same
+// seeder with its table detached and the original reference, over
+// reads spanning the boundary cases — shorter than k, shorter than
+// minLen, minLen below k (jump disabled), and regular reads.
 func TestFastSeedsToggleIdentical(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(41))
@@ -129,7 +129,8 @@ func TestFastSeedsToggleIdentical(t *testing.T) {
 	if sd.Bi().LUT() == nil {
 		t.Fatal("expected a default LUT on a 3000-base reference")
 	}
-	k := sd.Bi().LUT().K()
+	lut := sd.Bi().LUT()
+	k := lut.K()
 	var ws Workspace
 	lengths := []int{1, 2, k - 1, k, k + 1, 14, 15, 40, 101}
 	for i := 0; i < 200; i++ {
@@ -138,9 +139,9 @@ func TestFastSeedsToggleIdentical(t *testing.T) {
 		minLen := 1 + rng.Intn(20) // sometimes below k: jump must bow out
 		var stFast, stSlow, stRef Stats
 		fast := append([]Seed(nil), sd.SeedsWS(&ws, r, minLen, 16, 8, &stFast)...)
-		sd.SetFastSeeds(false)
+		sd.bi.lut = nil // plain stepwise search
 		slow := append([]Seed(nil), sd.SeedsWS(&ws, r, minLen, 16, 8, &stSlow)...)
-		sd.SetFastSeeds(true)
+		sd.bi.lut = lut
 		ref := sd.SeedsReference(r, minLen, 16, 8, &stRef)
 		if !seedsEqual(fast, slow) || !seedsEqual(fast, ref) {
 			t.Fatalf("read len %d minLen %d: seeds diverge\nfast=%v\nslow=%v\nref=%v",
@@ -183,6 +184,22 @@ func TestRebuildLUTKMatchesDefault(t *testing.T) {
 	}
 	if !reflect.DeepEqual(auto.ivs, explicit.ivs) {
 		t.Fatal("auto-built table differs from explicit build")
+	}
+}
+
+// TestLUTEngagesAtSeedingScale pins that the adaptive default table is
+// built and usable by the seeding passes at the default 15-base minimum
+// seed length on a reference the size of the kernel benchmark's
+// seeding workload (50 kbp, 100 kbp indexed with its reverse
+// complement). CountLUT and RepeatSeedsWS silently fall back to plain
+// stepwise search when lutFor returns nil, so only this check catches
+// a jump-start that stopped engaging.
+func TestLUTEngagesAtSeedingScale(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(59))
+	sd := NewSeeder(repeatText(rng, 50000))
+	if sd.Bi().lutFor(15) == nil {
+		t.Fatalf("lutFor(15) = nil on a 50 kbp reference (LUT %v)", sd.Bi().LUT())
 	}
 }
 

@@ -29,18 +29,6 @@ func NewSeeder(t []byte) *Seeder {
 // Bi exposes the underlying bidirectional index.
 func (s *Seeder) Bi() *BiIndex { return s.bi }
 
-// SetReferenceRank routes the seeder's rank queries through the
-// original block-scanning implementation, reproducing the pre-fast-path
-// cost profile (benchmark/oracle use only; results are identical).
-func (s *Seeder) SetReferenceRank(v bool) { s.bi.SetReferenceRank(v) }
-
-// SetFastSeeds toggles the seeding fast path — the interleaved rank
-// layout plus the k-mer LUT jump-start (the default). false restores
-// the per-word SoA scratch path with plain stepwise search, the
-// benchmark baseline. Seeds, Stats, and therefore simulated Reports
-// are identical either way.
-func (s *Seeder) SetFastSeeds(v bool) { s.bi.SetFast(v) }
-
 // RefLen returns the reference length.
 func (s *Seeder) RefLen() int { return s.n }
 

@@ -15,114 +15,3 @@ type smemEntry struct {
 	iv  BiInterval
 	end int
 }
-
-// FindSMEMs enumerates all supermaximal exact matches of r with length
-// >= minLen and at most maxIntv occurrences (0 disables the occurrence
-// cap). The traversal is the two-phase forward/backward algorithm of
-// BWA-MEM (bwt_smem1): from each anchor position, extend right
-// recording every interval-size change, then sweep left, emitting a
-// SMEM whenever the longest surviving match can no longer be extended.
-// FindSMEMs is a thin wrapper over FindSMEMsWS with a private
-// workspace; hot paths should reuse a Workspace instead.
-func (b *BiIndex) FindSMEMs(r []byte, minLen int, st *Stats) []SMEM {
-	var ws Workspace
-	return b.FindSMEMsWS(&ws, r, minLen, st)
-}
-
-// FindSMEMsReseed runs the full BWA-MEM seeding strategy: the SMEM
-// pass, then re-seeding (mem_reseed) — every sufficiently long SMEM
-// with few occurrences is re-searched from its midpoint requiring a
-// larger occurrence count, which surfaces the shorter, more frequent
-// sub-matches a supermaximal match hides (e.g. a read crossing a
-// transposon fragment whose interior matches hundreds of loci).
-// splitLen and splitWidth are BWA-MEM's -r parameters (1.5x min seed
-// length and 10 by default).
-// FindSMEMsReseed is a thin wrapper over FindSMEMsReseedWS with a
-// private workspace. The dedup between the SMEM pass and re-seeding
-// uses the workspace's sorted key set (the original map both mis-sized
-// its pre-allocation — len(out) before re-seeding populates it — and
-// hashed every probe; the sorted sweep does neither).
-func (b *BiIndex) FindSMEMsReseed(r []byte, minLen, splitLen, splitWidth int, st *Stats) []SMEM {
-	var ws Workspace
-	return b.FindSMEMsReseedWS(&ws, r, minLen, splitLen, splitWidth, st)
-}
-
-// RepeatSeeds is BWA-MEM's third seeding pass (bwt_seed_strategy1,
-// LAST-like): scanning left to right, it emits the shortest match of
-// length >= minLen that still has at least maxIntv occurrences, then
-// restarts after it. This is the pass that surfaces the numerous
-// short seeds inside high-copy repeats, which neither the SMEM pass
-// nor re-seeding reports (a supermaximal match hides them and
-// re-seeding only probes one midpoint).
-// RepeatSeeds is a thin wrapper over RepeatSeedsWS with a private
-// workspace.
-func (b *BiIndex) RepeatSeeds(r []byte, minLen, maxIntv int, st *Stats) []SMEM {
-	var ws Workspace
-	return b.RepeatSeedsWS(&ws, r, minLen, maxIntv, st)
-}
-
-// smem1 finds all SMEMs containing position x, appends them to out in
-// order of decreasing end, and returns the next anchor position (the
-// end of the longest match containing x).
-func (b *BiIndex) smem1(r []byte, x, minIntv int, out *[]SMEM, st *Stats) int {
-	ik := b.Single(r[x])
-	if ik.Empty() {
-		return x + 1
-	}
-	farEnd := x + 1
-	var curr, prev []smemEntry
-
-	// Forward phase: extend right, recording the interval each time the
-	// occurrence count drops.
-	for i := x + 1; i < len(r); i++ {
-		ok := b.ExtendRight(ik, r[i], st)
-		if ok.Size() != ik.Size() {
-			curr = append(curr, smemEntry{ik, i})
-			if ok.Size() < minIntv {
-				break
-			}
-		}
-		ik = ok
-		farEnd = i + 1
-	}
-	if len(curr) == 0 || curr[len(curr)-1].end != farEnd {
-		curr = append(curr, smemEntry{ik, farEnd})
-	}
-	// Reverse so longer matches (larger end, smaller interval) come
-	// first in the backward sweep.
-	for i, j := 0, len(curr)-1; i < j; i, j = i+1, j-1 {
-		curr[i], curr[j] = curr[j], curr[i]
-	}
-	prev, curr = curr, prev[:0]
-
-	// Backward phase: sweep left; when the longest surviving match can
-	// no longer be extended it is supermaximal. lastBeg dedups outputs
-	// within this invocation only.
-	lastBeg := len(r) + 1
-	for i := x - 1; i >= -1; i-- {
-		c := -1
-		if i >= 0 {
-			c = int(r[i])
-		}
-		curr = curr[:0]
-		for _, p := range prev {
-			var ok BiInterval
-			if c >= 0 {
-				ok = b.ExtendLeft(p.iv, byte(c), st)
-			}
-			if c < 0 || ok.Size() < minIntv {
-				if len(curr) == 0 && i+1 < lastBeg {
-					*out = append(*out, SMEM{ReadBeg: i + 1, ReadEnd: p.end, Iv: p.iv})
-					lastBeg = i + 1
-				}
-			} else if len(curr) == 0 || ok.Size() != curr[len(curr)-1].iv.Size() {
-				curr = append(curr, smemEntry{ok, p.end})
-			}
-		}
-		if len(curr) == 0 {
-			break
-		}
-		prev, curr = curr, prev
-	}
-	return farEnd
-}

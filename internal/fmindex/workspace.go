@@ -62,7 +62,10 @@ func addKey(keys [][2]int, k [2]int) ([][2]int, bool) {
 	return keys, true
 }
 
-// smem1ws is smem1 using the workspace's entry stacks.
+// smem1ws finds all SMEMs containing position x with at least minIntv
+// occurrences, appends them to out in order of decreasing end, and
+// returns the next anchor position (the end of the longest match
+// containing x). The traversal stacks live in ws.
 func (b *BiIndex) smem1ws(ws *Workspace, r []byte, x, minIntv int, out *[]SMEM, st *Stats) int {
 	ik := b.Single(r[x])
 	if ik.Empty() {
@@ -127,8 +130,13 @@ func (b *BiIndex) smem1ws(ws *Workspace, r []byte, x, minIntv int, out *[]SMEM, 
 	return farEnd
 }
 
-// FindSMEMsWS is FindSMEMs using ws; the returned slice aliases ws and
-// is valid until its next use.
+// FindSMEMsWS enumerates all supermaximal exact matches of r with
+// length >= minLen. The traversal is the two-phase forward/backward
+// algorithm of BWA-MEM (bwt_smem1): from each anchor position, extend
+// right recording every interval-size change, then sweep left, emitting
+// a SMEM whenever the longest surviving match can no longer be
+// extended. The returned slice aliases ws and is valid until its next
+// use.
 func (b *BiIndex) FindSMEMsWS(ws *Workspace, r []byte, minLen int, st *Stats) []SMEM {
 	out := ws.smems[:0]
 	x := 0
@@ -146,12 +154,19 @@ func (b *BiIndex) FindSMEMsWS(ws *Workspace, r []byte, minLen int, st *Stats) []
 	return keep
 }
 
-// FindSMEMsReseedWS is FindSMEMsReseed using ws, with the dedup map
-// replaced by the workspace's sorted key set: first-pass keys are
-// inserted up front, every re-seeded match is admitted via a
-// binary-search insert, and the emission order is unchanged. The
-// returned slice aliases ws; as a side effect ws holds the sorted key
-// set of the returned SMEMs (SeedsWS reuses it for the repeat pass).
+// FindSMEMsReseedWS runs the SMEM pass, then re-seeding (BWA-MEM's
+// mem_reseed): every SMEM of at least splitLen bases with at most
+// splitWidth occurrences is re-searched from its midpoint requiring a
+// larger occurrence count, which surfaces the shorter, more frequent
+// sub-matches a supermaximal match hides (e.g. a read crossing a
+// transposon fragment whose interior matches hundreds of loci).
+// splitLen and splitWidth are BWA-MEM's -r parameters (1.5x min seed
+// length and 10 by default). The two passes are deduplicated through
+// the workspace's sorted key set: first-pass keys are inserted up
+// front and every re-seeded match is admitted via a binary-search
+// insert. The returned slice aliases ws; as a side effect ws holds the
+// sorted key set of the returned SMEMs (SeedsWS reuses it for the
+// repeat pass).
 func (b *BiIndex) FindSMEMsReseedWS(ws *Workspace, r []byte, minLen, splitLen, splitWidth int, st *Stats) []SMEM {
 	out := b.FindSMEMsWS(ws, r, minLen, st)
 	nFirst := len(out)
@@ -185,8 +200,14 @@ func (b *BiIndex) FindSMEMsReseedWS(ws *Workspace, r []byte, minLen, splitLen, s
 	return out
 }
 
-// RepeatSeedsWS is RepeatSeeds using ws; the returned slice aliases ws
-// and is valid until its next use.
+// RepeatSeedsWS is BWA-MEM's third seeding pass (bwt_seed_strategy1,
+// LAST-like): scanning left to right, it emits the shortest match of
+// length >= minLen that still has at least maxIntv occurrences, then
+// restarts after it. This is the pass that surfaces the numerous short
+// seeds inside high-copy repeats, which neither the SMEM pass nor
+// re-seeding reports (a supermaximal match hides them and re-seeding
+// only probes one midpoint). The returned slice aliases ws and is
+// valid until its next use.
 func (b *BiIndex) RepeatSeedsWS(ws *Workspace, r []byte, minLen, maxIntv int, st *Stats) []SMEM {
 	out := ws.repeat[:0]
 	lut := b.lutFor(minLen)
@@ -228,7 +249,8 @@ func (b *BiIndex) RepeatSeedsWS(ws *Workspace, r []byte, minLen, maxIntv int, st
 	return out
 }
 
-// LocateAllInto is LocateAll appending into dst instead of allocating.
+// LocateAllInto appends to dst the text positions of the occurrences
+// in iv, up to max of them (0 means no limit).
 func (x *Index) LocateAllInto(dst []int, iv Interval, max int, st *Stats) []int {
 	n := iv.Size()
 	if max > 0 && n > max {

@@ -62,11 +62,7 @@ func TestSeedsWSMatchesReference(t *testing.T) {
 		maxMemIntv := rng.Intn(12)
 		var stWS, stRef Stats
 		got := sd.SeedsWS(&ws, r, minLen, maxOcc, maxMemIntv, &stWS)
-		// The reference side also runs the original block-scanning rank
-		// implementation, covering occRawScan vs the per-word path.
-		sd.SetReferenceRank(true)
 		want := sd.SeedsReference(r, minLen, maxOcc, maxMemIntv, &stRef)
-		sd.SetReferenceRank(false)
 		if len(got) != len(want) {
 			t.Fatalf("read %d: %d seeds via workspace, %d via reference (minLen=%d maxOcc=%d maxMemIntv=%d)",
 				i, len(got), len(want), minLen, maxOcc, maxMemIntv)
@@ -151,22 +147,29 @@ func TestFindSMEMsWSZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestOccRankEquivalence checks the O(1) per-word rank (single-base
-// and fused four-base) against the original 128-base block scan at
-// every position of a text spanning several checkpoint intervals,
-// including the primary row's word.
+// TestOccRankEquivalence checks the interleaved-block rank (single-base
+// and fused four-base) against a naive count over the BWT bytes, the
+// sentinel excluded, at every position of a text spanning several
+// checkpoint intervals, including the primary row's word and the
+// clamped positions just outside [0, size].
 func TestOccRankEquivalence(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(83))
 	text := randText(rng, 5*OccInterval+29)
 	x := New(text)
+	bwt, primary := BWTFromSA(text, BuildSuffixArray(text))
 	for i := -1; i <= x.size()+1; i++ {
-		fast4 := x.occ4Raw(i)
+		var want [4]int
+		for j := 0; j < i && j < len(bwt); j++ {
+			if j != primary {
+				want[bwt[j]]++
+			}
+		}
+		var fused [4]int
+		fused[0], fused[1], fused[2], fused[3] = x.occ4Raw(i)
 		for a := byte(0); a < 4; a++ {
-			fast := x.occRaw(a, i)
-			slow := x.occRawScan(a, i)
-			if fast != slow || fast4[a] != slow {
-				t.Fatalf("occ(%d, %d): per-word=%d fused=%d scan=%d", a, i, fast, fast4[a], slow)
+			if got := x.occRaw(a, i); got != want[a] || fused[a] != want[a] {
+				t.Fatalf("occ(%d, %d): single=%d fused=%d naive=%d", a, i, got, fused[a], want[a])
 			}
 		}
 	}

@@ -1,27 +1,25 @@
-// Package kernbench defines the repository's before/after kernel
-// benchmark suite in one place, so `go test -bench` (kernbench_test.go)
-// and the `nvwa-bench -kernels` JSON emitter run the exact same
-// measurement bodies.
+// Package kernbench defines the repository's kernel benchmark suite in
+// one place, so `go test -bench` (kernbench_test.go) and the
+// `nvwa-bench -kernels` JSON emitter run the exact same measurement
+// bodies.
 //
-// Most cases pair an optimized kernel with its retained reference
-// implementation — the verbatim pre-optimization code path, kept as
-// the correctness oracle — so the reported speedups compare against
-// the honest original cost profile, not a re-optimized stand-in. A
-// case whose reference path no longer exists is after-only: it has no
-// speedup and is gated on its absolute allocs/op instead.
+// A before/after case pairs an optimized kernel with its retained
+// reference implementation, the verbatim pre-optimization code path
+// kept as the correctness oracle, so the reported speedup compares
+// against the honest original cost profile. A case whose reference path
+// no longer exists in production code is after-only: it has no speedup
+// and is gated on its absolute allocs/op instead.
 //
 //   - align.Extend: full-row DP (ExtendReference) vs the z-drop-aware
 //     shrinking-band kernel with reused Scratch.
-//   - fmindex.Seeds: map-based three-pass seeding over the 128-base
-//     block-scanning rank vs workspace seeding over per-word rank.
-//   - fmindex.Seeds/LUT: workspace seeding over per-word rank vs the
+//   - fmindex.Seeds (after-only): workspace seeding over the
 //     interleaved occ-block layout with the k-mer LUT jump-start.
 //   - systolic.Run: the cycle-exact wavefront loop vs the closed-form
 //     row-major fast path (identical Result).
 //   - sim.Schedule: closure events (one allocation each) vs pooled
 //     Task events on the typed heap.
-//   - pipeline.Align: the end-to-end software aligner with every
-//     reference kernel selected vs the optimized kernels.
+//   - pipeline.Align (after-only): the software seed-and-extend
+//     aligner end to end.
 //   - accel.MergeReports: the fresh-scratch reference shard merge vs
 //     the reused zero-alloc MergeAcc reduction.
 //   - sim.Events: the binary min-heap event queue vs the cycle-bucketed
@@ -193,50 +191,7 @@ func Cases() []Case {
 		extendCase("200bp-flank", 240, 200, 50, 19),
 		{
 			Kernel: "fmindex.Seeds/101bp",
-			Note:   "map dedup + 128-base scanning rank (reference) vs workspace + per-word rank",
-			Before: func(b *testing.B) {
-				sd, reads := seedingData()
-				sd.SetReferenceRank(true)
-				defer sd.SetReferenceRank(false)
-				var st fmindex.Stats
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sd.SeedsReference(reads[i%len(reads)], 15, 16, 8, &st)
-				}
-			},
-			After: func(b *testing.B) {
-				sd, reads := seedingData()
-				var ws fmindex.Workspace
-				var st fmindex.Stats
-				for _, r := range reads {
-					sd.SeedsWS(&ws, r, 15, 16, 8, &st) // warm
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sd.SeedsWS(&ws, reads[i%len(reads)], 15, 16, 8, &st)
-				}
-			},
-		},
-		{
-			Kernel: "fmindex.Seeds/LUT",
-			Note:   "per-word rank + stepwise search (reference) vs interleaved occ blocks + k-mer LUT jump-start",
-			Before: func(b *testing.B) {
-				sd, reads := seedingData()
-				sd.SetFastSeeds(false)
-				defer sd.SetFastSeeds(true)
-				var ws fmindex.Workspace
-				var st fmindex.Stats
-				for _, r := range reads {
-					sd.SeedsWS(&ws, r, 15, 16, 8, &st) // warm
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sd.SeedsWS(&ws, reads[i%len(reads)], 15, 16, 8, &st)
-				}
-			},
+			Note:   "workspace seeding over interleaved occ blocks + k-mer LUT jump-start (after-only)",
 			After: func(b *testing.B) {
 				sd, reads := seedingData()
 				var ws fmindex.Workspace
@@ -310,17 +265,7 @@ func Cases() []Case {
 		},
 		{
 			Kernel: "pipeline.Align/end-to-end",
-			Note:   "software aligner, all reference kernels vs all optimized kernels",
-			Before: func(b *testing.B) {
-				a, reads := endToEndData()
-				a.SetReferenceKernels(true)
-				defer a.SetReferenceKernels(false)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					a.Align(0, reads[i%len(reads)])
-				}
-			},
+			Note:   "software seed-and-extend aligner (after-only)",
 			After: func(b *testing.B) {
 				a, reads := endToEndData()
 				for _, r := range reads[:8] {

@@ -72,9 +72,6 @@ type Aligner struct {
 	seeder *fmindex.Seeder
 	opts   Options
 
-	// refKernels routes seeding and extension through the original
-	// pre-optimization kernels (see SetReferenceKernels).
-	refKernels bool
 	// scratch pools per-goroutine kernel workspaces: the concurrent
 	// memo builder and the parallel experiment engine call
 	// SeedAndChain/ExtendHitCost from many goroutines over one shared
@@ -114,17 +111,6 @@ func reverseInto(dst *seq.Seq, s seq.Seq) seq.Seq {
 		out[len(s)-1-i] = b
 	}
 	return out
-}
-
-// SetReferenceKernels routes the aligner through the original
-// pre-optimization kernels — map-based three-pass seeding over the
-// block-scanning rank, and the full-row extension DP — reproducing the
-// pre-fast-path cost profile for before/after benchmarking. Results
-// are identical either way; the toggle only changes cost. Not safe
-// concurrently with alignment calls.
-func (a *Aligner) SetReferenceKernels(v bool) {
-	a.refKernels = v
-	a.seeder.SetReferenceRank(v)
 }
 
 // New indexes the reference and returns an aligner.
@@ -177,12 +163,7 @@ func (a *Aligner) SeedAndChain(readIdx int, read seq.Seq) ([]core.Hit, fmindex.S
 	scr := a.getScratch()
 	defer a.putScratch(scr)
 	var st fmindex.Stats
-	var seeds []fmindex.Seed
-	if a.refKernels {
-		seeds = a.seeder.SeedsReference(read, a.opts.MinSeedLen, a.opts.MaxOcc, a.opts.MaxMemIntv, &st)
-	} else {
-		seeds = a.seeder.SeedsWS(&scr.ws, read, a.opts.MinSeedLen, a.opts.MaxOcc, a.opts.MaxMemIntv, &st)
-	}
+	seeds := a.seeder.SeedsWS(&scr.ws, read, a.opts.MinSeedLen, a.opts.MaxOcc, a.opts.MaxMemIntv, &st)
 	if len(seeds) == 0 {
 		return nil, st
 	}
@@ -344,20 +325,13 @@ func (a *Aligner) ExtendHitCost(oriented seq.Seq, h core.Hit) (core.Extension, E
 	readEnd := h.ReadEnd
 	var cost ExtendCost
 
-	extend := func(r, q []byte, init int) (int, int, int, int) {
-		if a.refKernels {
-			return align.ExtendReference(r, q, sc, init, a.opts.ZDrop)
-		}
-		return align.ExtendWithScratch(&scr.dp, r, q, sc, init, a.opts.ZDrop)
-	}
-
 	// Left extension: reverse both the query prefix and the reference
 	// window so Extend anchors at the seed's left edge. The reversed
 	// views live in pooled scratch.
 	if leftQ > 0 && leftR > 0 {
 		q := reverseInto(&scr.qrev, oriented[h.ReadBeg-leftQ:h.ReadBeg])
 		r := reverseInto(&scr.rrev, a.ref[h.RefPos-leftR:h.RefPos])
-		s, rEnd, qEnd, rows := extend(r, q, score)
+		s, rEnd, qEnd, rows := align.ExtendWithScratch(&scr.dp, r, q, sc, score, a.opts.ZDrop)
 		score = s
 		refBeg = h.RefPos - rEnd
 		readBeg = h.ReadBeg - qEnd // reversed view: qEnd counts leftwards
@@ -368,7 +342,7 @@ func (a *Aligner) ExtendHitCost(oriented seq.Seq, h core.Hit) (core.Extension, E
 	if rightQ > 0 && rightR > 0 {
 		q := oriented[h.ReadEnd : h.ReadEnd+rightQ]
 		r := a.ref[refEnd : refEnd+rightR]
-		s, rEnd, qEnd, rows := extend(r, q, score)
+		s, rEnd, qEnd, rows := align.ExtendWithScratch(&scr.dp, r, q, sc, score, a.opts.ZDrop)
 		score = s
 		refEnd += rEnd
 		readEnd = h.ReadEnd + qEnd

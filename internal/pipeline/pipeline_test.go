@@ -20,6 +20,25 @@ func testAligner(t *testing.T, refLen int, seed int64) (*Aligner, *genome.Refere
 	return New(ref.Seq, DefaultOptions()), ref
 }
 
+// TestDefaultOptionsEngageLUT pins that the seeder's k-mer LUT
+// jump-start is built, and short enough for the default minimum seed
+// length, at the reference sizes the kernel benchmark and the repo
+// benchmark run (100 kbp and 200 kbp). The seeding passes fall back to
+// plain stepwise search without a usable table, silently.
+func TestDefaultOptionsEngageLUT(t *testing.T) {
+	t.Parallel()
+	for _, refLen := range []int{100000, 200000} {
+		a, _ := testAligner(t, refLen, 7)
+		lut := a.Seeder().Bi().LUT()
+		if lut == nil {
+			t.Fatalf("%d bp reference: no LUT attached", refLen)
+		}
+		if minLen := a.Options().MinSeedLen; lut.K() > minLen {
+			t.Fatalf("%d bp reference: LUT k=%d exceeds MinSeedLen %d", refLen, lut.K(), minLen)
+		}
+	}
+}
+
 func TestAlignRecoversTruePositions(t *testing.T) {
 	t.Parallel()
 	a, ref := testAligner(t, 60000, 1)

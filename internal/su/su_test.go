@@ -82,39 +82,6 @@ func TestProcessCyclesScaleWithCostModel(t *testing.T) {
 	}
 }
 
-func TestProcessCyclesInvariantToSeedingFastPath(t *testing.T) {
-	t.Parallel()
-	// The unit's cycle cost derives solely from the front end's charged
-	// Stats, so the seeding fast path (interleaved rank layout + k-mer
-	// LUT jump-start) must leave completion cycles — not just hits —
-	// exactly as the per-word scratch path computes them. A Stats
-	// divergence in the front end would surface here as a cycle drift.
-	a, ref, _ := setup(t)
-	reads := genome.Simulate(ref, 40, genome.ShortReadConfig(13))
-	fastU := New(0, a, mem.NewHBM(mem.HBM1()), DefaultCostModel())
-	var fastHits []int
-	var fastDone []int64
-	for _, r := range reads {
-		h, d := fastU.Process(0, r.ID, r.Seq)
-		fastHits = append(fastHits, len(h))
-		fastDone = append(fastDone, d)
-	}
-	a.Seeder().SetFastSeeds(false)
-	defer a.Seeder().SetFastSeeds(true)
-	slowU := New(0, a, mem.NewHBM(mem.HBM1()), DefaultCostModel())
-	for i, r := range reads {
-		h, d := slowU.Process(0, r.ID, r.Seq)
-		if len(h) != fastHits[i] || d != fastDone[i] {
-			t.Fatalf("read %d: slow path (%d hits, done %d) != fast path (%d hits, done %d)",
-				r.ID, len(h), d, fastHits[i], fastDone[i])
-		}
-	}
-	if fastU.OccAccesses() != slowU.OccAccesses() {
-		t.Fatalf("occ traffic diverges: fast %d, slow %d",
-			fastU.OccAccesses(), slowU.OccAccesses())
-	}
-}
-
 func TestUnitStateTransitions(t *testing.T) {
 	t.Parallel()
 	a, _, hbm := setup(t)

@@ -253,10 +253,11 @@ func BenchmarkCoordinatorRound(b *testing.B) {
 	classes := core.DefaultConfig().EUClasses
 	a := coordinator.NewAllocator(classes, coordinator.Grouped)
 	rng := rand.New(rand.NewSource(4))
-	window := make([]core.Hit, 16)
+	var ar core.HitArena
+	window := make([]core.HitID, 16)
 	for i := range window {
 		ext := rng.Intn(128)
-		window[i] = core.Hit{ReadIdx: i, ReadLen: 128, ReadEnd: ext}
+		window[i] = ar.Alloc(core.Hit{ReadIdx: i, ReadLen: 128, ReadEnd: ext})
 	}
 	var idle []coordinator.IdleUnit
 	id := 0
@@ -268,7 +269,7 @@ func BenchmarkCoordinatorRound(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Allocate(window, idle)
+		a.Allocate(&ar, window, idle)
 	}
 }
 

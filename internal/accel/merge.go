@@ -66,7 +66,10 @@ type MergeAcc struct {
 // NewMergeAcc returns an empty accumulator.
 func NewMergeAcc() *MergeAcc { return &MergeAcc{} }
 
-// Reset zeroes the accumulator in place, retaining vector capacity.
+// Reset empties the accumulator in place, retaining vector capacity.
+// The vectors are truncated, not zeroed, so a reused accumulator
+// merges to the same vector lengths as a fresh one even when an
+// earlier shard set had longer series or more EU classes.
 func (a *MergeAcc) Reset() {
 	a.reads, a.totalHits, a.switches = 0, 0, 0
 	a.shards = 0
@@ -74,28 +77,16 @@ func (a *MergeAcc) Reset() {
 	a.cycleSum = 0
 	a.suUtilW, a.euUtilW = 0, 0
 	a.peUtilW, a.peWTotal = 0, 0
-	for i := range a.suSeries {
-		a.suSeries[i] = 0
-	}
-	for i := range a.euSeries {
-		a.euSeries[i] = 0
-	}
+	a.suSeries, a.euSeries = a.suSeries[:0], a.euSeries[:0]
 	a.allocOptimal, a.allocNear = 0, 0
-	for i := range a.perClassOpt {
-		a.perClassOpt[i] = 0
-	}
-	for i := range a.perClassTot {
-		a.perClassTot[i] = 0
-	}
-	for i := range a.perClassW {
-		a.perClassW[i] = 0
-	}
+	a.perClassOpt, a.perClassTot, a.perClassW = a.perClassOpt[:0], a.perClassTot[:0], a.perClassW[:0]
 	a.traceback = TracebackStats{}
 	a.hbm = mem.Stats{}
 	a.energyStatic, a.energyDynamic, a.energyHBM, a.energyTotal = 0, 0, 0, 0
 }
 
-// grow ensures a float64 scratch slice has at least n entries.
+// growF extends a float64 scratch slice with zeros to at least n
+// entries.
 func growF(s []float64, n int) []float64 {
 	for len(s) < n {
 		s = append(s, 0)
@@ -103,7 +94,7 @@ func growF(s []float64, n int) []float64 {
 	return s
 }
 
-// growI ensures an int scratch slice has at least n entries.
+// growI extends an int scratch slice with zeros to at least n entries.
 func growI(s []int, n int) []int {
 	for len(s) < n {
 		s = append(s, 0)
@@ -233,119 +224,6 @@ func (a *MergeAcc) Merged(clockGHz float64) *Report {
 		capacity := float64(a.shards) * float64(a.maxCycles)
 		r.SUUtilMakespan = a.suUtilW / capacity
 		r.EUUtilMakespan = a.euUtilW / capacity
-	}
-	return r
-}
-
-// MergeReportsReference is the specification implementation of the
-// shard merge: an independent, readable oracle the optimized MergeAcc
-// path is tested against (the role ExtendReference plays for the
-// banded extension kernel). It allocates fresh scratch per call and accumulates each field in the same shard order
-// and operation order as MergeAcc, so the two paths agree exactly —
-// not just approximately — on every float.
-func MergeReportsReference(reps []*Report, clockGHz float64) *Report {
-	r := &Report{}
-	var shards int
-	var maxCycles int64
-	var cycleSum, suW, euW, peW, peTot float64
-	var suSeries, euSeries, perClassW []float64
-	var perClassOpt, perClassTot []int
-	var eStatic, eDyn, eHBM, eTot float64
-	for _, rep := range reps {
-		if rep == nil {
-			continue
-		}
-		r.Reads += rep.Reads
-		r.TotalHits += rep.TotalHits
-		r.Switches += rep.Switches
-		shards++
-		if rep.Cycles > maxCycles {
-			maxCycles = rep.Cycles
-		}
-		w := float64(rep.Cycles)
-		cycleSum += w
-		suW += rep.SUUtil * w
-		euW += rep.EUUtil * w
-		hw := float64(rep.TotalHits)
-		peW += rep.EUPEUtil * hw
-		peTot += hw
-		suSeries = growF(suSeries, len(rep.SUSeries))
-		for i, v := range rep.SUSeries {
-			suSeries[i] += v * w
-		}
-		euSeries = growF(euSeries, len(rep.EUSeries))
-		for i, v := range rep.EUSeries {
-			euSeries[i] += v * w
-		}
-		r.AllocStats.Optimal += rep.AllocStats.Optimal
-		r.AllocStats.NearOptimal += rep.AllocStats.NearOptimal
-		perClassOpt = growI(perClassOpt, len(rep.AllocStats.PerClassOptimal))
-		for i, v := range rep.AllocStats.PerClassOptimal {
-			perClassOpt[i] += v
-		}
-		perClassTot = growI(perClassTot, len(rep.AllocStats.PerClassTotal))
-		for i, v := range rep.AllocStats.PerClassTotal {
-			perClassTot[i] += v
-		}
-		perClassW = growF(perClassW, len(rep.PerClassEUUtil))
-		for i, v := range rep.PerClassEUUtil {
-			perClassW[i] += v * w
-		}
-		r.Traceback.Cycles += rep.Traceback.Cycles
-		r.Traceback.Spills += rep.Traceback.Spills
-		r.Traceback.SpillCycles += rep.Traceback.SpillCycles
-		r.HBM.Accesses += rep.HBM.Accesses
-		r.HBM.RowHits += rep.HBM.RowHits
-		r.HBM.RowMisses += rep.HBM.RowMisses
-		r.HBM.Bytes += rep.HBM.Bytes
-		r.HBM.EnergyPJ += rep.HBM.EnergyPJ
-		eStatic += rep.Energy.StaticJ
-		eDyn += rep.Energy.DynamicJ
-		eHBM += rep.Energy.HBMJ
-		eTot += rep.Energy.TotalJ
-	}
-	r.Cycles = maxCycles
-	r.AllocStats.PerClassOptimal = append([]int(nil), perClassOpt...)
-	r.AllocStats.PerClassTotal = append([]int(nil), perClassTot...)
-	if maxCycles > 0 && clockGHz > 0 {
-		hz := clockGHz * 1e9
-		seconds := float64(maxCycles) / hz
-		r.ThroughputReadsPerSec = float64(r.Reads) / seconds
-		r.Energy.Seconds = seconds
-		r.Energy.StaticJ = eStatic
-		r.Energy.DynamicJ = eDyn
-		r.Energy.HBMJ = eHBM
-		r.Energy.TotalJ = eTot
-		if r.Reads > 0 {
-			r.Energy.PerReadJ = eTot / float64(r.Reads)
-		}
-		if seconds > 0 {
-			r.Energy.AvgPowerW = eTot / seconds
-		}
-	}
-	if cycleSum > 0 {
-		r.SUUtil = suW / cycleSum
-		r.EUUtil = euW / cycleSum
-		r.SUSeries = make([]float64, len(suSeries))
-		for i, v := range suSeries {
-			r.SUSeries[i] = v / cycleSum
-		}
-		r.EUSeries = make([]float64, len(euSeries))
-		for i, v := range euSeries {
-			r.EUSeries[i] = v / cycleSum
-		}
-		r.PerClassEUUtil = make([]float64, len(perClassW))
-		for i, v := range perClassW {
-			r.PerClassEUUtil[i] = v / cycleSum
-		}
-	}
-	if peTot > 0 {
-		r.EUPEUtil = peW / peTot
-	}
-	if shards > 0 && maxCycles > 0 {
-		capacity := float64(shards) * float64(maxCycles)
-		r.SUUtilMakespan = suW / capacity
-		r.EUUtilMakespan = euW / capacity
 	}
 	return r
 }

@@ -415,15 +415,15 @@ func (s *System) tryRound() {
 	if len(idle) == 0 {
 		return
 	}
-	window := s.buffer.WindowIDs(s.opts.Config.AllocBatch)
+	window := s.buffer.Window(s.opts.Config.AllocBatch)
 	o := s.opts.Obs
 	var winBefore []core.Hit
 	if o != nil {
 		winBefore = o.Inv.SnapshotWindow(s.derefHits(window))
 	}
-	assigned, un := s.alloc.AllocateIDs(s.arena, window, idle)
+	assigned, un := s.alloc.Allocate(s.arena, window, idle)
 	// Materialize the dispatch-facing assignments. The IDs stay live —
-	// CommitIDs moves them into the PB's consumed prefix, which the
+	// Commit moves them into the PB's consumed prefix, which the
 	// state inventory still digests; they recycle at the next buffer
 	// switch.
 	asg := s.asgScratch[:0]
@@ -434,8 +434,8 @@ func (s *System) tryRound() {
 	}
 	s.asgScratch, s.allocIDs = asg, ids
 	if o != nil {
-		// The window aliases the PB: AllocateIDs must not have mutated
-		// it (the CommitIDs compaction below reads the same backing
+		// The window aliases the PB: Allocate must not have mutated
+		// it (the Commit compaction below reads the same backing
 		// array).
 		o.Inv.CheckWindowUnchanged(now, winBefore, s.derefHits(window))
 		o.AllocRound(now, len(window), len(asg), len(un), len(idle),
@@ -445,7 +445,7 @@ func (s *System) tryRound() {
 	if len(asg) == 0 {
 		return
 	}
-	s.buffer.CommitIDs(ids, un)
+	s.buffer.Commit(ids, un)
 	if s.flt != nil {
 		s.flt.inFlight += len(ids)
 	}

@@ -381,7 +381,7 @@ func (ss *ShardedSystem) merge(reads []seq.Seq, reps []*Report, parts [][]int,
 
 	// Recovery accounting sums outside MergeAcc: it is driver-side
 	// bookkeeping, absent from crash-free shards, and must not perturb
-	// the simulated-report reductions the reference-merge oracle pins.
+	// the simulated-report reductions.
 	var recovery *RecoveryStats
 	for _, rep := range reps {
 		if rep.Recovery != nil {

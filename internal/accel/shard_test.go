@@ -1,11 +1,15 @@
 package accel
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"nvwa/internal/coordinator"
+	"nvwa/internal/energy"
 	"nvwa/internal/fault"
+	"nvwa/internal/mem"
 	"nvwa/internal/obs"
 )
 
@@ -202,38 +206,137 @@ func TestShardedMergeSemantics(t *testing.T) {
 	}
 }
 
-// TestMergeAccMatchesReference pins the optimized reduction to the
-// specification implementation on real shard reports — exact equality,
-// not approximate.
-func TestMergeAccMatchesReference(t *testing.T) {
-	t.Parallel()
-	a, reads := testWorkload(t, 200, 11)
-	o := smallOpts()
-	sys, err := NewSharded(a, ShardedOptions{Options: o, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
+// handReports are three shard Reports (and a nil, which Add skips)
+// whose merge is worked out by hand in TestMergeAccHandComputed. The
+// values are dyadic so every cycle- and hit-weighted mean is exact.
+func handReports() []*Report {
+	return []*Report{
+		{
+			Reads: 10, TotalHits: 4, Cycles: 100, Switches: 2,
+			SUUtil: 0.5, EUUtil: 0.25, EUPEUtil: 0.5,
+			SUSeries: []float64{1, 0.5}, EUSeries: []float64{0.5, 0},
+			PerClassEUUtil: []float64{0.25, 0.5},
+			AllocStats: coordinator.Stats{Optimal: 3, NearOptimal: 1,
+				PerClassOptimal: []int{1, 2}, PerClassTotal: []int{2, 2}},
+			Traceback: TracebackStats{Cycles: 40, Spills: 1, SpillCycles: 8},
+			HBM:       mem.Stats{Accesses: 10, RowHits: 7, RowMisses: 3, Bytes: 640, EnergyPJ: 100},
+			Energy:    energy.Estimate{Seconds: 9, StaticJ: 1, DynamicJ: 2, HBMJ: 0.5, TotalJ: 3.5, PerReadJ: 9, AvgPowerW: 9},
+		},
+		nil,
+		{
+			Reads: 30, TotalHits: 12, Cycles: 300, Switches: 5,
+			SUUtil: 1, EUUtil: 0.75, EUPEUtil: 0.25,
+			SUSeries: []float64{0, 1}, EUSeries: []float64{1, 0.5},
+			PerClassEUUtil: []float64{0.5, 1},
+			AllocStats: coordinator.Stats{Optimal: 10, NearOptimal: 2,
+				PerClassOptimal: []int{4, 6}, PerClassTotal: []int{5, 7}},
+			Traceback: TracebackStats{Cycles: 100, Spills: 2, SpillCycles: 16},
+			HBM:       mem.Stats{Accesses: 30, RowHits: 20, RowMisses: 10, Bytes: 1920, EnergyPJ: 300},
+			Energy:    energy.Estimate{StaticJ: 2, DynamicJ: 4, HBMJ: 1.5, TotalJ: 7.5},
+		},
+		{
+			Reads: 24, TotalHits: 16, Cycles: 400, Switches: 1,
+			SUUtil: 0.25, EUUtil: 0.125, EUPEUtil: 0.75,
+			SUSeries: []float64{0.5, 0.25}, EUSeries: []float64{0, 0.25},
+			PerClassEUUtil: []float64{0.75, 0},
+			AllocStats: coordinator.Stats{Optimal: 12, NearOptimal: 4,
+				PerClassOptimal: []int{5, 7}, PerClassTotal: []int{8, 8}},
+			Traceback: TracebackStats{Cycles: 60},
+			HBM:       mem.Stats{Accesses: 20, RowHits: 15, RowMisses: 5, Bytes: 1280, EnergyPJ: 200},
+			Energy:    energy.Estimate{StaticJ: 1, DynamicJ: 2, HBMJ: 1, TotalJ: 4},
+		},
 	}
-	_, parts, runErr := sys.RunDetailed(reads)
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
+}
+
+// TestMergeAccHandComputed checks every field MergeAcc produces against
+// values worked out by hand from handReports: cycle weights 100/300/400
+// (sum 800, makespan 400, three shards) and hit weights 4/12/16.
+func TestMergeAccHandComputed(t *testing.T) {
+	const clockGHz = 2.0
 	acc := NewMergeAcc()
-	acc.Reset()
-	for _, p := range parts {
-		acc.Add(p)
+	for _, r := range handReports() {
+		acc.Add(r)
 	}
-	got := acc.Merged(o.Config.ClockGHz)
-	want := MergeReportsReference(parts, o.Config.ClockGHz)
+	got := acc.Merged(clockGHz)
+
+	// The clock conversion is the one inexact step: compare the three
+	// fields derived from it within rounding, then pin the rest exactly.
+	seconds := 400 / (clockGHz * 1e9) // makespan / clock
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"Energy.Seconds", got.Energy.Seconds, seconds},
+		{"ThroughputReadsPerSec", got.ThroughputReadsPerSec, 64 / seconds},
+		{"Energy.AvgPowerW", got.Energy.AvgPowerW, 15 / seconds},
+	} {
+		if math.Abs(c.got-c.want) > 1e-12*math.Abs(c.want) {
+			t.Errorf("%s = %g, want %g", c.name, c.got, c.want)
+		}
+	}
+	want := &Report{
+		Reads:     64, // 10 + 30 + 24
+		TotalHits: 32, // 4 + 12 + 16
+		Cycles:    400,
+		Switches:  8,
+		// Cycle-weighted: (0.5·100 + 1·300 + 0.25·400) / 800.
+		SUUtil: 0.5625,
+		// (0.25·100 + 0.75·300 + 0.125·400) / 800.
+		EUUtil: 0.375,
+		// The same busy unit-cycles over 3 shards × 400 cycles.
+		SUUtilMakespan: 450.0 / 1200,
+		EUUtilMakespan: 300.0 / 1200,
+		SUSeries:       []float64{300.0 / 800, 450.0 / 800},
+		EUSeries:       []float64{350.0 / 800, 250.0 / 800},
+		PerClassEUUtil: []float64{475.0 / 800, 350.0 / 800},
+		// Hit-weighted: (0.5·4 + 0.25·12 + 0.75·16) / 32.
+		EUPEUtil: 17.0 / 32,
+		AllocStats: coordinator.Stats{Optimal: 25, NearOptimal: 7,
+			PerClassOptimal: []int{10, 15}, PerClassTotal: []int{15, 17}},
+		Traceback: TracebackStats{Cycles: 200, Spills: 3, SpillCycles: 24},
+		HBM:       mem.Stats{Accesses: 60, RowHits: 42, RowMisses: 18, Bytes: 3840, EnergyPJ: 600},
+		// Shard Seconds/PerReadJ/AvgPowerW are re-derived, not summed.
+		Energy: energy.Estimate{StaticJ: 4, DynamicJ: 8, HBMJ: 3, TotalJ: 15, PerReadJ: 15.0 / 64,
+			Seconds: got.Energy.Seconds, AvgPowerW: got.Energy.AvgPowerW},
+		ThroughputReadsPerSec: got.ThroughputReadsPerSec,
+	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("MergeAcc result diverges from MergeReportsReference")
+		t.Errorf("merged report:\n got %+v\nwant %+v", got, want)
 	}
-	// Reuse after Reset must give the same answer again.
-	acc.Reset()
-	for _, p := range parts {
-		acc.Add(p)
+}
+
+// TestMergeAccResetMatchesFresh pins Reset: an accumulator that merged
+// a different shard set (with longer vectors) and was then Reset must
+// behave exactly like a fresh NewMergeAcc, both empty and after
+// merging a new set.
+func TestMergeAccResetMatchesFresh(t *testing.T) {
+	// Unlike handReports in every field, with longer series and more
+	// EU classes.
+	other := &Report{
+		Reads: 7, TotalHits: 9, Cycles: 1000, Switches: 3,
+		SUUtil: 0.9, EUUtil: 0.8, EUPEUtil: 0.7,
+		SUSeries: []float64{1, 1, 1, 1}, EUSeries: []float64{1, 1, 1, 1},
+		PerClassEUUtil: []float64{1, 1, 1},
+		AllocStats: coordinator.Stats{Optimal: 5, NearOptimal: 4,
+			PerClassOptimal: []int{1, 2, 2}, PerClassTotal: []int{3, 3, 3}},
+		Traceback: TracebackStats{Cycles: 11, Spills: 12, SpillCycles: 13},
+		HBM:       mem.Stats{Accesses: 14, RowHits: 15, RowMisses: 16, Bytes: 17, EnergyPJ: 18},
+		Energy:    energy.Estimate{StaticJ: 19, DynamicJ: 20, HBMJ: 21, TotalJ: 60},
 	}
-	if again := acc.Merged(o.Config.ClockGHz); !reflect.DeepEqual(again, got) {
-		t.Errorf("MergeAcc not stable across Reset reuse")
+	reused := NewMergeAcc()
+	reused.Add(other)
+	reused.Add(other)
+	reused.Reset()
+	if got, want := reused.Merged(1), NewMergeAcc().Merged(1); !reflect.DeepEqual(got, want) {
+		t.Errorf("empty after Reset:\n got %+v\nwant %+v", got, want)
+	}
+	fresh := NewMergeAcc()
+	for _, r := range handReports() {
+		reused.Add(r)
+		fresh.Add(r)
+	}
+	if got, want := reused.Merged(1), fresh.Merged(1); !reflect.DeepEqual(got, want) {
+		t.Errorf("reused after Reset:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -187,7 +187,7 @@ type System struct {
 
 	// Event-loop scratch, reused across allocation rounds because
 	// roundActive serializes them (see tryRound): the idle pool, the ID
-	// list handed to CommitIDs, the materialized assignments the
+	// list handed to Commit, the materialized assignments the
 	// dispatch consumes, and the window dereference for obs checks.
 	// The freelists pool event tasks so steady-state scheduling
 	// allocates no closures.
@@ -254,7 +254,7 @@ func New(aligner *pipeline.Aligner, opts Options) (*System, error) {
 	// Peak liveness is both buffer generations (the consumed PB prefix
 	// stays live until the next switch) plus retry slack.
 	s.arena.Reserve(2*opts.Config.HitsBufferDepth + 64)
-	s.buffer = coordinator.NewHitsBufferArena(opts.Config.HitsBufferDepth, opts.Config.SwitchThreshold, s.arena)
+	s.buffer = coordinator.NewHitsBuffer(opts.Config.HitsBufferDepth, opts.Config.SwitchThreshold, s.arena)
 	if opts.Faults != nil {
 		s.flt = newFaultState(opts.Faults, opts.Config)
 	}

@@ -42,7 +42,7 @@ func TestAllocatePropertyAllStrategies(t *testing.T) {
 			rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 			idle := all[:rng.Intn(len(all)+1)]
 
-			assigned, un := a.Allocate(window, idle)
+			assigned, un := allocate(a, window, idle)
 
 			// (1) unique units, subset of idle.
 			idleSet := map[int]IdleUnit{}
@@ -140,7 +140,7 @@ func TestSetStatsSizesResetsWholeLedger(t *testing.T) {
 
 	a := NewAllocator(testClasses, Grouped)
 	window := []core.Hit{hit(0, 7), hit(1, 29), hit(2, 40), hit(3, 103)}
-	if assigned, _ := a.Allocate(window, units(testClasses)); len(assigned) != 4 {
+	if assigned, _ := allocate(a, window, units(testClasses)); len(assigned) != 4 {
 		t.Fatalf("setup allocation incomplete: %d assigned", len(assigned))
 	}
 	check(a.Stats(), "before reset")
@@ -160,7 +160,7 @@ func TestSetStatsSizesResetsWholeLedger(t *testing.T) {
 		t.Fatalf("ladder not resized: %+v", st)
 	}
 
-	if assigned, _ := a.Allocate([]core.Hit{hit(4, 50), hit(5, 100)}, units(testClasses)); len(assigned) != 2 {
+	if assigned, _ := allocate(a, []core.Hit{hit(4, 50), hit(5, 100)}, units(testClasses)); len(assigned) != 2 {
 		t.Fatalf("post-reset allocation incomplete: %d assigned", len(assigned))
 	}
 	check(a.Stats(), "after re-measure")
@@ -176,7 +176,7 @@ func TestSetStatsSizesResetsWholeLedger(t *testing.T) {
 // conservation ledger (pushed == assigned + pending + dropped).
 func TestForcedSwitchDrainsSubThresholdTail(t *testing.T) {
 	o := obs.NewInvariantsOnly()
-	b := NewHitsBuffer(16, 0.75)
+	b, _ := newBuffer(16, 0.75)
 	var now int64
 	b.AttachObs(o, func() int64 { return now })
 
@@ -210,7 +210,7 @@ func TestForcedSwitchDrainsSubThresholdTail(t *testing.T) {
 // TestHitsBufferDrop covers the drain path's last resort.
 func TestHitsBufferDrop(t *testing.T) {
 	o := obs.NewInvariantsOnly()
-	b := NewHitsBuffer(8, 0.5)
+	b, _ := newBuffer(8, 0.5)
 	b.AttachObs(o, func() int64 { return 0 })
 	for i := 0; i < 4; i++ {
 		b.Push(hit(i, 10))
@@ -243,7 +243,7 @@ func TestHitsBufferDrop(t *testing.T) {
 // two paths can never drift again.
 func TestCanSwitchTrySwitchAgree(t *testing.T) {
 	for fill := 0; fill <= 8; fill++ {
-		b := NewHitsBuffer(8, 0.75)
+		b, _ := newBuffer(8, 0.75)
 		for i := 0; i < fill; i++ {
 			b.Push(hit(i, 10))
 		}

@@ -18,57 +18,37 @@ import (
 // Store Buffer (SB); allocation rounds consume the Processing Buffer
 // (PB) through a moving offset; when the SB fill reaches the switch
 // threshold and the PB is drained, the buffers swap.
+//
+// Pushes intern each hit into the arena and the buffer holds 4-byte
+// IDs instead of 64-byte records. A hit's ID stays valid while it sits
+// anywhere in pb — including the consumed prefix, which EncodeState
+// still digests — so IDs are recycled only when a PB generation is
+// discarded at the next switch (or ReleaseAll).
 type HitsBuffer struct {
 	depth     int
 	threshold float64
-	sb        []core.Hit
-	pb        []core.Hit
+	arena     *core.HitArena
+	sb        []core.HitID
+	pb        []core.HitID
 	offset    int
 	switches  int
-
-	// Arena mode (arena != nil): hits are interned on Push and the
-	// buffer holds 4-byte IDs instead of 64-byte records — sbIDs/pbIDs
-	// replace sb/pb, and allocation rounds run over IDs
-	// (WindowIDs/CommitIDs). A hit's ID stays valid while it sits
-	// anywhere in pbIDs — including the consumed prefix, which
-	// EncodeState still digests — so IDs are recycled only when a PB
-	// generation is discarded at the next switch (or ReleaseAll).
-	arena *core.HitArena
-	sbIDs []core.HitID
-	pbIDs []core.HitID
 
 	obs   *obs.Observer
 	clock func() int64
 }
 
 // NewHitsBuffer builds a buffer of the given per-side depth and switch
-// threshold (paper: depth 1024, threshold 0.75).
-func NewHitsBuffer(depth int, threshold float64) *HitsBuffer {
+// threshold (paper: depth 1024, threshold 0.75) whose pushes intern
+// hits into ar.
+func NewHitsBuffer(depth int, threshold float64, ar *core.HitArena) *HitsBuffer {
 	if depth <= 0 {
 		panic("coordinator: buffer depth must be positive")
 	}
 	if threshold <= 0 || threshold > 1 {
 		panic("coordinator: switch threshold out of (0,1]")
 	}
-	return &HitsBuffer{depth: depth, threshold: threshold}
+	return &HitsBuffer{depth: depth, threshold: threshold, arena: ar}
 }
-
-// NewHitsBufferArena builds a buffer in arena mode: pushes intern the
-// hit into ar and the buffer traffics in IDs. The observable behavior
-// (occupancy, switch points, commit compaction, state digests) is
-// bit-identical to value mode for the same hit stream.
-func NewHitsBufferArena(depth int, threshold float64, ar *core.HitArena) *HitsBuffer {
-	b := NewHitsBuffer(depth, threshold)
-	b.arena = ar
-	return b
-}
-
-// ArenaMode reports whether the buffer stores arena IDs.
-func (b *HitsBuffer) ArenaMode() bool { return b.arena != nil }
-
-// Arena returns the arena backing an arena-mode buffer (nil in value
-// mode).
-func (b *HitsBuffer) Arena() *core.HitArena { return b.arena }
 
 // Depth returns the per-side capacity in hits.
 func (b *HitsBuffer) Depth() int { return b.depth }
@@ -98,11 +78,7 @@ func (b *HitsBuffer) Push(h core.Hit) bool {
 		}
 		return false
 	}
-	if b.arena != nil {
-		b.sbIDs = append(b.sbIDs, b.arena.Alloc(h))
-	} else {
-		b.sb = append(b.sb, h)
-	}
+	b.sb = append(b.sb, b.arena.Alloc(h))
 	if b.obs != nil {
 		b.obs.Inv.RecordPush(1)
 		b.obs.BufferPush(b.now(), b.SBLen(), b.depth)
@@ -111,23 +87,10 @@ func (b *HitsBuffer) Push(h core.Hit) bool {
 }
 
 // SBLen returns the Store Buffer occupancy.
-func (b *HitsBuffer) SBLen() int {
-	if b.arena != nil {
-		return len(b.sbIDs)
-	}
-	return len(b.sb)
-}
-
-// pbLen returns the total PB length including consumed hits.
-func (b *HitsBuffer) pbLen() int {
-	if b.arena != nil {
-		return len(b.pbIDs)
-	}
-	return len(b.pb)
-}
+func (b *HitsBuffer) SBLen() int { return len(b.sb) }
 
 // PBRemaining returns the number of unallocated hits in the PB.
-func (b *HitsBuffer) PBRemaining() int { return b.pbLen() - b.offset }
+func (b *HitsBuffer) PBRemaining() int { return len(b.pb) - b.offset }
 
 // Switches returns how many buffer switches have occurred.
 func (b *HitsBuffer) Switches() int { return b.switches }
@@ -157,25 +120,18 @@ func (b *HitsBuffer) TrySwitch(force bool) bool {
 	if !force && forced {
 		return false
 	}
-	if b.arena != nil {
-		// The outgoing PB generation is fully consumed (dispatched or
-		// dropped); discarding it is the one point its IDs stop being
-		// reachable, so recycle them here.
-		for _, id := range b.pbIDs {
-			b.arena.Free(id)
-		}
-		b.pbIDs = b.pbIDs[:0]
-		b.pbIDs = append(b.pbIDs, b.sbIDs...)
-		b.sbIDs = b.sbIDs[:0]
-	} else {
-		b.pb = b.pb[:0]
-		b.pb = append(b.pb, b.sb...)
-		b.sb = b.sb[:0]
+	// The outgoing PB generation is fully consumed (dispatched or
+	// dropped); discarding it is the one point its IDs stop being
+	// reachable, so recycle them here.
+	for _, id := range b.pb {
+		b.arena.Free(id)
 	}
+	b.pb = append(b.pb[:0], b.sb...)
+	b.sb = b.sb[:0]
 	b.offset = 0
 	b.switches++
 	if b.obs != nil {
-		b.obs.BufferSwitch(b.now(), b.switches, b.pbLen(), forced)
+		b.obs.BufferSwitch(b.now(), b.switches, len(b.pb), forced)
 	}
 	return true
 }
@@ -184,23 +140,16 @@ func (b *HitsBuffer) TrySwitch(force bool) bool {
 // out of the current PB).
 func (b *HitsBuffer) Offset() int { return b.offset }
 
-// PBLen returns the total Processing Buffer length including already
-// consumed hits.
-func (b *HitsBuffer) PBLen() int { return b.pbLen() }
-
 // Window returns the current allocation window: up to batch
-// unallocated hits starting at the PB offset (step 1 of Fig. 10).
+// unallocated hit IDs starting at the PB offset (step 1 of Fig. 10).
 //
 // Contract: the returned slice aliases the Processing Buffer. Callers
 // must treat it as read-only — mutating an entry would corrupt the
 // compaction Commit performs over the same backing array.
-// Allocator.Allocate copies the window before sorting for exactly
+// Allocator.Allocate sorts packed keys in its own scratch for exactly
 // this reason, and the obs.Invariants checker verifies after every
-// round that the window bytes are unchanged.
-func (b *HitsBuffer) Window(batch int) []core.Hit {
-	if b.arena != nil {
-		panic("coordinator: Window on an arena-mode buffer; use WindowIDs")
-	}
+// round that the window's hits are unchanged.
+func (b *HitsBuffer) Window(batch int) []core.HitID {
 	end := b.offset + batch
 	if end > len(b.pb) {
 		end = len(b.pb)
@@ -208,22 +157,7 @@ func (b *HitsBuffer) Window(batch int) []core.Hit {
 	return b.pb[b.offset:end]
 }
 
-// WindowIDs is Window for arena mode: up to batch unallocated hit IDs
-// starting at the PB offset. The same read-only aliasing contract as
-// Window applies.
-func (b *HitsBuffer) WindowIDs(batch int) []core.HitID {
-	if b.arena == nil {
-		panic("coordinator: WindowIDs on a value-mode buffer; use Window")
-	}
-	end := b.offset + batch
-	if end > len(b.pbIDs) {
-		end = len(b.pbIDs)
-	}
-	return b.pbIDs[b.offset:end]
-}
-
-// WindowLen returns the size of the current allocation window in
-// either mode.
+// WindowLen returns the size of the current allocation window.
 func (b *HitsBuffer) WindowLen(batch int) int {
 	if n := b.PBRemaining(); batch > n {
 		return n
@@ -234,8 +168,10 @@ func (b *HitsBuffer) WindowLen(batch int) int {
 // Commit applies an allocation round's outcome to the PB: within the
 // window, allocated hits move to the top and unallocated hits are
 // written back after them, and the offset advances past the allocated
-// ones (steps 7-9 of Fig. 10, the fragmentation solution).
-func (b *HitsBuffer) Commit(allocated, unallocated []core.Hit) {
+// ones (steps 7-9 of Fig. 10, the fragmentation solution). Allocated
+// IDs land in the consumed prefix — still digested by EncodeState,
+// still live — and are recycled when this PB generation is discarded.
+func (b *HitsBuffer) Commit(allocated, unallocated []core.HitID) {
 	n := len(allocated) + len(unallocated)
 	if n > len(b.pb)-b.offset {
 		panic(fmt.Sprintf("coordinator: commit of %d hits exceeds window of %d", n, len(b.pb)-b.offset))
@@ -243,29 +179,10 @@ func (b *HitsBuffer) Commit(allocated, unallocated []core.Hit) {
 	copy(b.pb[b.offset:], allocated)
 	copy(b.pb[b.offset+len(allocated):], unallocated)
 	b.offset += len(allocated)
-	b.commitObs(len(allocated))
-}
-
-// CommitIDs is Commit for arena mode: the same window compaction over
-// IDs. Allocated IDs land in the consumed prefix — still digested by
-// EncodeState, still live — and are recycled when this PB generation
-// is discarded.
-func (b *HitsBuffer) CommitIDs(allocated, unallocated []core.HitID) {
-	n := len(allocated) + len(unallocated)
-	if n > len(b.pbIDs)-b.offset {
-		panic(fmt.Sprintf("coordinator: commit of %d hits exceeds window of %d", n, len(b.pbIDs)-b.offset))
-	}
-	copy(b.pbIDs[b.offset:], allocated)
-	copy(b.pbIDs[b.offset+len(allocated):], unallocated)
-	b.offset += len(allocated)
-	b.commitObs(len(allocated))
-}
-
-func (b *HitsBuffer) commitObs(allocated int) {
 	if b.obs != nil {
-		b.obs.Inv.RecordAssigned(allocated)
+		b.obs.Inv.RecordAssigned(len(allocated))
 		b.obs.BufferOccupancy(b.now(), b.SBLen(), b.PBRemaining())
-		b.obs.Inv.CheckBuffer(b.now(), b.SBLen(), b.pbLen(), b.offset, b.depth)
+		b.obs.Inv.CheckBuffer(b.now(), b.SBLen(), len(b.pb), b.offset, b.depth)
 	}
 }
 
@@ -295,55 +212,40 @@ func (b *HitsBuffer) Drop(n int, reason string) int {
 // sides, consumed prefix included) back to the arena. The drain path
 // calls it once the pipeline is empty so an end-of-run arena audits as
 // fully drained; the buffer is unusable for further pushes against
-// those IDs afterwards. Value-mode buffers ignore it.
+// those IDs afterwards.
 func (b *HitsBuffer) ReleaseAll() {
-	if b.arena == nil {
-		return
-	}
-	for _, id := range b.sbIDs {
+	for _, id := range b.sb {
 		b.arena.Free(id)
 	}
-	for _, id := range b.pbIDs {
+	for _, id := range b.pb {
 		b.arena.Free(id)
 	}
-	b.sbIDs = b.sbIDs[:0]
-	b.pbIDs = b.pbIDs[:0]
+	b.sb = b.sb[:0]
+	b.pb = b.pb[:0]
 	b.offset = 0
 }
 
 // EncodeState writes the buffer's canonical state inventory: both
 // queue fills, the PB consumption offset, the switch counter, and a
 // digest over every queued hit record. Depth and threshold are
-// configuration, covered by the options hash instead. Arena
-// mode dereferences IDs and folds the hit VALUES in buffer order, so
-// the inventory is byte-identical to value mode for the same hit
-// stream — checkpoints taken under one mode restore under the other.
+// configuration, covered by the options hash instead. IDs are
+// dereferenced and the hit VALUES folded in buffer order, so the
+// inventory does not depend on which arena slots the hits occupy.
 func (b *HitsBuffer) EncodeState(enc *ckpt.Encoder) {
 	enc.Section("coordinator.HitsBuffer")
 	enc.PutInt(b.SBLen())
-	enc.PutInt(b.pbLen())
+	enc.PutInt(len(b.pb))
 	enc.PutInt(b.offset)
 	enc.PutInt(b.switches)
+	enc.PutU64(b.digest(b.sb))
+	enc.PutU64(b.digest(b.pb))
+}
+
+// digest folds the hits behind ids, in order.
+func (b *HitsBuffer) digest(ids []core.HitID) uint64 {
 	var d ckpt.Digest
-	if b.arena != nil {
-		for _, id := range b.sbIDs {
-			b.arena.At(id).Fold(&d)
-		}
-	} else {
-		for _, h := range b.sb {
-			h.Fold(&d)
-		}
+	for _, id := range ids {
+		b.arena.At(id).Fold(&d)
 	}
-	enc.PutU64(d.Sum())
-	d = ckpt.Digest{}
-	if b.arena != nil {
-		for _, id := range b.pbIDs {
-			b.arena.At(id).Fold(&d)
-		}
-	} else {
-		for _, h := range b.pb {
-			h.Fold(&d)
-		}
-	}
-	enc.PutU64(d.Sum())
+	return d.Sum()
 }

@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"nvwa/internal/core"
@@ -13,8 +14,40 @@ func hit(id, hitLen int) core.Hit {
 	return core.Hit{ReadIdx: id, ReadLen: 128, ReadBeg: 0, ReadEnd: hitLen}
 }
 
+// newBuffer builds a HitsBuffer over its own arena.
+func newBuffer(depth int, threshold float64) (*HitsBuffer, *core.HitArena) {
+	ar := &core.HitArena{}
+	return NewHitsBuffer(depth, threshold, ar), ar
+}
+
+// intern allocates hits into ar and returns their IDs in order.
+func intern(ar *core.HitArena, hits []core.Hit) []core.HitID {
+	ids := make([]core.HitID, len(hits))
+	for i, h := range hits {
+		ids[i] = ar.Alloc(h)
+	}
+	return ids
+}
+
+// allocate interns window into a fresh arena, runs one Allocate round,
+// and dereferences the outcome the way the accelerator's dispatch
+// does, so tests can inspect hits by value.
+func allocate(a *Allocator, window []core.Hit, idle []IdleUnit) ([]Assignment, []core.Hit) {
+	var ar core.HitArena
+	asgIDs, unIDs := a.Allocate(&ar, intern(&ar, window), idle)
+	var asg []Assignment
+	for _, x := range asgIDs {
+		asg = append(asg, Assignment{Hit: ar.At(x.ID), Unit: x.Unit})
+	}
+	var un []core.Hit
+	for _, id := range unIDs {
+		un = append(un, ar.At(id))
+	}
+	return asg, un
+}
+
 func TestHitsBufferPushAndBlock(t *testing.T) {
-	b := NewHitsBuffer(4, 0.75)
+	b, _ := newBuffer(4, 0.75)
 	for i := 0; i < 4; i++ {
 		if !b.Push(hit(i, 10)) {
 			t.Fatalf("push %d rejected", i)
@@ -29,7 +62,7 @@ func TestHitsBufferPushAndBlock(t *testing.T) {
 }
 
 func TestHitsBufferSwitchThreshold(t *testing.T) {
-	b := NewHitsBuffer(8, 0.75)
+	b, _ := newBuffer(8, 0.75)
 	for i := 0; i < 5; i++ { // 5/8 = 62.5% < 75%
 		b.Push(hit(i, 10))
 	}
@@ -52,7 +85,7 @@ func TestHitsBufferSwitchThreshold(t *testing.T) {
 }
 
 func TestHitsBufferForceSwitchAndPBGuard(t *testing.T) {
-	b := NewHitsBuffer(8, 0.75)
+	b, _ := newBuffer(8, 0.75)
 	if b.TrySwitch(true) {
 		t.Error("force switch of empty SB succeeded")
 	}
@@ -68,27 +101,31 @@ func TestHitsBufferForceSwitchAndPBGuard(t *testing.T) {
 }
 
 func TestHitsBufferWindowAndCommit(t *testing.T) {
-	b := NewHitsBuffer(16, 0.5)
+	b, ar := newBuffer(16, 0.5)
 	for i := 0; i < 10; i++ {
 		b.Push(hit(i, 10+i))
 	}
 	b.TrySwitch(false)
+	readIdx := func(ids []core.HitID) []int {
+		var out []int
+		for _, id := range ids {
+			out = append(out, ar.At(id).ReadIdx)
+		}
+		return out
+	}
 	w := b.Window(4)
-	if len(w) != 4 || w[0].ReadIdx != 0 {
-		t.Fatalf("window = %v", w)
+	if got := readIdx(w); !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
+		t.Fatalf("window = %v", got)
 	}
 	// Allocate hits 1,3; hits 0,2 fail.
-	b.Commit([]core.Hit{w[1], w[3]}, []core.Hit{w[0], w[2]})
+	b.Commit([]core.HitID{w[1], w[3]}, []core.HitID{w[0], w[2]})
 	if b.PBRemaining() != 8 {
 		t.Errorf("PBRemaining = %d, want 8", b.PBRemaining())
 	}
-	// Next window must start with the failed hits (fragmentation fix).
-	w2 := b.Window(4)
-	if w2[0].ReadIdx != 0 || w2[1].ReadIdx != 2 {
-		t.Errorf("failed hits not at the front of the next window: %v %v", w2[0].ReadIdx, w2[1].ReadIdx)
-	}
-	if w2[2].ReadIdx != 4 || w2[3].ReadIdx != 5 {
-		t.Errorf("new hits missing from window: %v", w2)
+	// Next window must start with the failed hits (fragmentation fix),
+	// followed by the new ones.
+	if got := readIdx(b.Window(4)); !reflect.DeepEqual(got, []int{0, 2, 4, 5}) {
+		t.Errorf("next window = %v, want failed hits 0,2 then new hits 4,5", got)
 	}
 }
 
@@ -96,7 +133,7 @@ func TestHitsBufferConservation(t *testing.T) {
 	// Random pushes, switches, and partial commits must never lose or
 	// duplicate a hit.
 	rng := rand.New(rand.NewSource(1))
-	b := NewHitsBuffer(32, 0.75)
+	b, ar := newBuffer(32, 0.75)
 	pushed := map[int]int{}
 	consumed := map[int]int{}
 	next := 0
@@ -114,14 +151,14 @@ func TestHitsBufferConservation(t *testing.T) {
 			if len(w) == 0 {
 				continue
 			}
-			// Randomly allocate a prefix subset.
-			var alloc, fail []core.Hit
-			for _, h := range w {
+			// Randomly allocate a subset.
+			var alloc, fail []core.HitID
+			for _, id := range w {
 				if rng.Intn(2) == 0 {
-					alloc = append(alloc, h)
-					consumed[h.ReadIdx]++
+					alloc = append(alloc, id)
+					consumed[ar.At(id).ReadIdx]++
 				} else {
-					fail = append(fail, h)
+					fail = append(fail, id)
 				}
 			}
 			b.Commit(alloc, fail)
@@ -133,8 +170,8 @@ func TestHitsBufferConservation(t *testing.T) {
 			break
 		}
 		w := b.Window(16)
-		for _, h := range w {
-			consumed[h.ReadIdx]++
+		for _, id := range w {
+			consumed[ar.At(id).ReadIdx]++
 		}
 		b.Commit(w, nil)
 	}
@@ -146,18 +183,23 @@ func TestHitsBufferConservation(t *testing.T) {
 	if len(consumed) != len(pushed) {
 		t.Fatalf("consumed %d distinct hits, pushed %d", len(consumed), len(pushed))
 	}
+	b.ReleaseAll()
+	if err := ar.CheckDrained(); err != nil {
+		t.Fatalf("after ReleaseAll: %v", err)
+	}
 }
 
 func TestHitsBufferPanics(t *testing.T) {
 	for i, f := range []func(){
-		func() { NewHitsBuffer(0, 0.5) },
-		func() { NewHitsBuffer(8, 0) },
-		func() { NewHitsBuffer(8, 1.5) },
+		func() { newBuffer(0, 0.5) },
+		func() { newBuffer(8, 0) },
+		func() { newBuffer(8, 1.5) },
 		func() {
-			b := NewHitsBuffer(8, 0.5)
+			b, _ := newBuffer(8, 0.5)
 			b.Push(hit(0, 1))
 			b.TrySwitch(true)
-			b.Commit([]core.Hit{hit(0, 1), hit(1, 1)}, nil) // oversized commit
+			w := b.Window(8)
+			b.Commit([]core.HitID{w[0], w[0]}, nil) // oversized commit
 		},
 	} {
 		func() {
@@ -193,7 +235,7 @@ var testClasses = []core.EUClass{
 func TestAllocateGroupedPrefersOptimal(t *testing.T) {
 	a := NewAllocator(testClasses, Grouped)
 	window := []core.Hit{hit(0, 7), hit(1, 29), hit(2, 40), hit(3, 103)}
-	assigned, un := a.Allocate(window, units(testClasses))
+	assigned, un := allocate(a, window, units(testClasses))
 	if len(un) != 0 {
 		t.Fatalf("unallocated: %v", un)
 	}
@@ -215,7 +257,7 @@ func TestAllocateGroupedNearOptimalWithinGroup(t *testing.T) {
 	// 32-PE unit (same group), never on 64/128.
 	idle := units(testClasses)
 	window := []core.Hit{hit(0, 7), hit(1, 8), hit(2, 9)}
-	assigned, un := a.Allocate(window, idle)
+	assigned, un := allocate(a, window, idle)
 	if len(un) != 0 {
 		t.Fatalf("unallocated: %v", un)
 	}
@@ -239,13 +281,13 @@ func TestAllocateGroupedCrossGroupSupplement(t *testing.T) {
 	// adjacent group supplements (paper Sec. IV-D) rather than leaving
 	// the hit and the units both idle.
 	idle := []IdleUnit{{ID: 6, Class: 3, PEs: 128}, {ID: 7, Class: 3, PEs: 128}}
-	assigned, un := a.Allocate([]core.Hit{hit(0, 7)}, idle)
+	assigned, un := allocate(a, []core.Hit{hit(0, 7)}, idle)
 	if len(assigned) != 1 || len(un) != 0 {
 		t.Error("exhausted home group should borrow from the adjacent group")
 	}
 	// But when the home group has an idle unit, it always wins.
 	idle = []IdleUnit{{ID: 6, Class: 3, PEs: 128}, {ID: 2, Class: 1, PEs: 32}}
-	assigned, _ = a.Allocate([]core.Hit{hit(1, 7)}, idle)
+	assigned, _ = allocate(a, []core.Hit{hit(1, 7)}, idle)
 	if len(assigned) != 1 || assigned[0].Unit.PEs != 32 {
 		t.Errorf("home group not preferred: %+v", assigned)
 	}
@@ -254,7 +296,7 @@ func TestAllocateGroupedCrossGroupSupplement(t *testing.T) {
 func TestAllocateShared(t *testing.T) {
 	a := NewAllocator(testClasses, Shared)
 	idle := []IdleUnit{{ID: 6, Class: 3, PEs: 128}}
-	assigned, un := a.Allocate([]core.Hit{hit(0, 7)}, idle)
+	assigned, un := allocate(a, []core.Hit{hit(0, 7)}, idle)
 	if len(assigned) != 1 || len(un) != 0 {
 		t.Error("Shared strategy must use any idle unit")
 	}
@@ -265,7 +307,7 @@ func TestAllocateExclusive(t *testing.T) {
 	idle := []IdleUnit{{ID: 2, Class: 1, PEs: 32}}
 	// Hit 0 (len 7) wants class 0, hit 1 (len 20) wants class 1; only a
 	// class-1 unit is idle, so exactly hit 1 is served.
-	assigned, un := a.Allocate([]core.Hit{hit(0, 7), hit(1, 20)}, idle)
+	assigned, un := allocate(a, []core.Hit{hit(0, 7), hit(1, 20)}, idle)
 	if len(assigned) != 1 || assigned[0].Hit.ReadIdx != 1 {
 		t.Errorf("exclusive allocation wrong: %v", assigned)
 	}
@@ -277,7 +319,7 @@ func TestAllocateExclusive(t *testing.T) {
 func TestAllocateExclusiveOnlyOptimal(t *testing.T) {
 	a := NewAllocator(testClasses, Exclusive)
 	idle := []IdleUnit{{ID: 2, Class: 1, PEs: 32}}
-	assigned, un := a.Allocate([]core.Hit{hit(0, 7)}, idle)
+	assigned, un := allocate(a, []core.Hit{hit(0, 7)}, idle)
 	if len(assigned) != 0 || len(un) != 1 {
 		t.Error("Exclusive must not use a non-optimal class")
 	}
@@ -288,7 +330,7 @@ func TestAllocateFIFOIgnoresLength(t *testing.T) {
 	// FIFO takes units in ID order regardless of hit length.
 	idle := units(testClasses)
 	window := []core.Hit{hit(0, 103), hit(1, 7)}
-	assigned, _ := a.Allocate(window, idle)
+	assigned, _ := allocate(a, window, idle)
 	if len(assigned) != 2 {
 		t.Fatal("FIFO should allocate both")
 	}
@@ -307,7 +349,7 @@ func TestAllocateConservation(t *testing.T) {
 				window = append(window, hit(trial*100+i, rng.Intn(128)))
 			}
 			idle := units(testClasses)[:rng.Intn(9)]
-			assigned, un := a.Allocate(window, idle)
+			assigned, un := allocate(a, window, idle)
 			if len(assigned)+len(un) != len(window) {
 				t.Fatalf("strategy %v: %d+%d != %d hits", strat, len(assigned), len(un), len(window))
 			}

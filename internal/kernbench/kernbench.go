@@ -3,25 +3,24 @@
 // `nvwa-bench -kernels` JSON emitter run the exact same measurement
 // bodies.
 //
-// A before/after case pairs an optimized kernel with its retained
-// reference implementation, the verbatim pre-optimization code path
-// kept as the correctness oracle, so the reported speedup compares
-// against the honest original cost profile. A case whose reference path
-// no longer exists in production code is after-only: it has no speedup
-// and is gated on its absolute allocs/op instead.
+// A before/after case pairs an optimized kernel with a slower way of
+// doing the same work, measured in the same process: either a retained
+// reference implementation that tests also use as the correctness
+// oracle (align.Extend, sim.Events), or the same production code
+// without its allocation reuse (sim.Schedule, accel.MergeReports). A
+// case with neither is after-only: it has no speedup and is gated on
+// its absolute allocs/op instead.
 //
 //   - align.Extend: full-row DP (ExtendReference) vs the z-drop-aware
 //     shrinking-band kernel with reused Scratch.
 //   - fmindex.Seeds (after-only): workspace seeding over the
 //     interleaved occ-block layout with the k-mer LUT jump-start.
-//   - systolic.Run: the cycle-exact wavefront loop vs the closed-form
-//     row-major fast path (identical Result).
 //   - sim.Schedule: closure events (one allocation each) vs pooled
 //     Task events on the typed heap.
 //   - pipeline.Align (after-only): the software seed-and-extend
 //     aligner end to end.
-//   - accel.MergeReports: the fresh-scratch reference shard merge vs
-//     the reused zero-alloc MergeAcc reduction.
+//   - accel.MergeReports: a fresh MergeAcc per merge (the cost of
+//     sizing the scratch every call) vs one reused zero-alloc MergeAcc.
 //   - sim.Events: the binary min-heap event queue vs the cycle-bucketed
 //     calendar queue (identical (at, seq) pop order).
 //   - accel.Replay (after-only): the full memoized accelerator system
@@ -40,7 +39,6 @@ import (
 	"nvwa/internal/pipeline"
 	"nvwa/internal/seq"
 	"nvwa/internal/sim"
-	"nvwa/internal/systolic"
 )
 
 // Case is one kernel's before/after benchmark pair.
@@ -203,30 +201,6 @@ func Cases() []Case {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					sd.SeedsWS(&ws, reads[i%len(reads)], 15, 16, 8, &st)
-				}
-			},
-		},
-		{
-			Kernel: "systolic.Run/64PE-128x101",
-			Note:   "cycle-exact wavefront loop (reference) vs closed-form fast path",
-			Before: func(b *testing.B) {
-				ref, read := homologousPair(31, 128, 101, 25)
-				arr := systolic.Array{PEs: 64, Scoring: align.BWAMEM(), ExactWavefront: true}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					arr.Run(ref, read, systolic.ModeExtend, 19)
-				}
-			},
-			After: func(b *testing.B) {
-				ref, read := homologousPair(31, 128, 101, 25)
-				arr := systolic.Array{PEs: 64, Scoring: align.BWAMEM()}
-				var s systolic.Scratch
-				arr.RunWithScratch(&s, ref, read, systolic.ModeExtend, 19) // warm
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					arr.RunWithScratch(&s, ref, read, systolic.ModeExtend, 19)
 				}
 			},
 		},
@@ -424,18 +398,23 @@ func shardReports(n int) []*accel.Report {
 	return reps
 }
 
-// mergeCase pairs the fresh-scratch reference shard merge against the
-// reused MergeAcc reduction over 16 synthetic shard Reports.
+// mergeCase pairs a fresh MergeAcc per merge against one reused
+// MergeAcc over 16 synthetic shard Reports, so the row measures what
+// retaining the vector scratch across Reset saves.
 func mergeCase() Case {
 	return Case{
 		Kernel: "accel.MergeReports/16-shards",
-		Note:   "fresh-scratch reference merge vs reused zero-alloc MergeAcc reduction",
+		Note:   "fresh MergeAcc per merge vs reused zero-alloc MergeAcc reduction",
 		Before: func(b *testing.B) {
 			reps := shardReports(16)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				accel.MergeReportsReference(reps, 1.0)
+				acc := accel.NewMergeAcc()
+				for _, r := range reps {
+					acc.Add(r)
+				}
+				acc.Merged(1.0)
 			}
 		},
 		After: func(b *testing.B) {

@@ -7,7 +7,10 @@
 // The model is cycle-exact — Run executes the wavefront schedule cycle
 // by cycle — and functionally exact: the scores it produces equal the
 // software dynamic programming in package align, which is how the
-// paper's no-loss-of-accuracy property is verified in tests.
+// paper's no-loss-of-accuracy property is verified in tests
+// (FuzzSystolicVsSoftwareDP). The accelerator's EU cost model charges
+// only Latency; Run is the functional model that shows the charged
+// schedule computes the right scores.
 //
 // The matrix-fill latency is the paper's Formula 3:
 //
@@ -73,31 +76,17 @@ type Array struct {
 	PEs int
 	// Scoring is the alignment scoring scheme loaded into the PEs.
 	Scoring align.Scoring
-	// ExactWavefront forces Run to execute the cycle-exact wavefront
-	// schedule instead of the closed-form fast path. The two are
-	// byte-identical (see fast.go and the differential fuzz target);
-	// the exact loop remains for microarchitectural studies that
-	// observe individual (cycle, PE) pairs.
-	ExactWavefront bool
 }
 
 const negInf = int(-1) << 30
 
-// Run streams ref through the array against query. initScore seeds
-// ModeExtend (ignored by ModeLocal). By default Run takes the
-// closed-form fast path — identical Result, no cycle loop; set
-// ExactWavefront to execute the wavefront schedule cycle by cycle.
+// Run streams ref through the array against query, executing the
+// wavefront schedule cycle by cycle: one inner iteration per
+// (cycle, PE) pair, with the inter-block SRAM carrying the boundary
+// row between query blocks. initScore seeds ModeExtend (ignored by
+// ModeLocal). Cycles is Formula 3 and BusyPECycles is r*q; Score
+// equals the software DP in package align.
 func (a *Array) Run(ref, query []byte, mode Mode, initScore int) Result {
-	if a.ExactWavefront {
-		return a.runWavefront(ref, query, mode, initScore)
-	}
-	var s Scratch
-	return a.runFast(&s, ref, query, mode, initScore)
-}
-
-// runWavefront executes the wavefront schedule cycle by cycle, one
-// inner iteration per (cycle, PE) pair.
-func (a *Array) runWavefront(ref, query []byte, mode Mode, initScore int) Result {
 	p := a.PEs
 	r, q := len(ref), len(query)
 	res := Result{Cycles: Latency(r, q, p)}

@@ -173,3 +173,96 @@ func TestTracebackLatencyConstantInPEs(t *testing.T) {
 		t.Errorf("traceback latency = %d", TracebackLatency(100, 50))
 	}
 }
+
+// checkRun runs the array and asserts its Result against independent
+// references: Score against the software DP in package align (Local,
+// or Extend without z-drop), Cycles against Formula 3, and
+// BusyPECycles against r*q (each of the q query rows meets each of the
+// r reference columns on exactly one PE-cycle).
+func checkRun(t *testing.T, a *Array, ref, query []byte, mode Mode, init int) {
+	t.Helper()
+	got := a.Run(ref, query, mode, init)
+	var want int
+	if mode == ModeLocal {
+		want = align.Local(ref, query, a.Scoring).Score
+	} else {
+		want, _, _, _ = align.Extend(ref, query, a.Scoring, init, -1)
+	}
+	r, q := len(ref), len(query)
+	if got.Score != want || got.Cycles != Latency(r, q, a.PEs) || got.BusyPECycles != r*q {
+		t.Fatalf("p=%d sc=%+v mode=%d init=%d r=%d q=%d: got %+v, want Score=%d Cycles=%d BusyPECycles=%d\nref=%v\nquery=%v",
+			a.PEs, a.Scoring, mode, init, r, q, got, want, Latency(r, q, a.PEs), r*q, ref, query)
+	}
+}
+
+// TestRunAdversarial pins tie-heavy and degenerate inputs: mono-base
+// repeats (maximal score ties), single-base sequences, PE counts larger
+// and smaller than the query, and empty inputs.
+func TestRunAdversarial(t *testing.T) {
+	rep := func(b byte, n int) []byte {
+		s := make([]byte, n)
+		for i := range s {
+			s[i] = b
+		}
+		return s
+	}
+	cases := []struct {
+		name       string
+		ref, query []byte
+		p, init    int
+		mode       Mode
+	}{
+		{"mono-repeat-local", rep(0, 60), rep(0, 50), 8, 0, ModeLocal},
+		{"mono-repeat-extend", rep(0, 60), rep(0, 50), 8, 10, ModeExtend},
+		{"all-mismatch-extend", rep(0, 40), rep(1, 40), 16, 25, ModeExtend},
+		{"single-pe", rep(2, 30), rep(2, 30), 1, 0, ModeExtend},
+		{"pe-exceeds-query", rep(3, 20), rep(3, 5), 64, 0, ModeExtend},
+		{"single-base", []byte{0}, []byte{0}, 4, 0, ModeLocal},
+		{"empty-ref", nil, []byte{0, 1, 2, 3}, 4, 7, ModeExtend},
+		{"empty-query", []byte{0, 1, 2, 3}, nil, 4, 7, ModeExtend},
+		{"tandem-repeat", []byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1}, []byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 1}, 3, 0, ModeLocal},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkRun(t, &Array{PEs: tc.p, Scoring: align.BWAMEM()}, tc.ref, tc.query, tc.mode, tc.init)
+		})
+	}
+}
+
+// FuzzSystolicVsSoftwareDP is the CI fuzz target for the array: on
+// arbitrary sequences, PE counts, scoring schemes, modes and initial
+// scores, the cycle-exact wavefront must score exactly like the
+// software DP and charge exactly Formula 3 cycles and r*q busy
+// PE-cycles.
+func FuzzSystolicVsSoftwareDP(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3}, []byte{0, 1, 2, 3, 0, 1, 2, 3}, uint8(4), uint8(0), uint8(4), uint8(6), uint8(1), uint8(10), false)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, []byte{0, 0, 0, 0}, uint8(2), uint8(1), uint8(3), uint8(0), uint8(2), uint8(0), true)
+	f.Add([]byte{2, 0, 3, 3, 0, 1, 0}, []byte{2, 0, 3, 3, 0, 1, 0}, uint8(127), uint8(0), uint8(0), uint8(7), uint8(3), uint8(30), false)
+	f.Fuzz(func(t *testing.T, refIn, queryIn []byte, p, match, mis, gapO, gapE, init uint8, localMode bool) {
+		if len(refIn) > 200 || len(queryIn) > 200 {
+			return
+		}
+		bases := func(in []byte) []byte {
+			out := make([]byte, len(in))
+			for i, b := range in {
+				out[i] = b & 3
+			}
+			return out
+		}
+		ref, query := bases(refIn), bases(queryIn)
+		a := &Array{
+			PEs: 1 + int(p)%128,
+			Scoring: align.Scoring{
+				Match:     1 + int(match)%8,
+				Mismatch:  int(mis) % 10,
+				GapOpen:   int(gapO) % 12,
+				GapExtend: int(gapE) % 5,
+			},
+		}
+		mode := ModeExtend
+		if localMode {
+			mode = ModeLocal
+		}
+		checkRun(t, a, ref, query, mode, int(init))
+	})
+}
